@@ -33,6 +33,7 @@ fn main() {
         let pipeline = Pipeline::fit(&ds, &config).expect("VAER pipeline");
         let vaer_pred: Vec<bool> = pipeline
             .predict(&ds.test_pairs)
+            .expect("VAER predictions")
             .iter()
             .map(|&p| p > 0.5)
             .collect();

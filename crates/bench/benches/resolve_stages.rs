@@ -106,7 +106,7 @@ fn main() {
     // training spans are not what this harness reports.
     vaer_obs::reset();
 
-    let k = config.knn_k;
+    let k = 10;
     let mut plan = pipeline.resolve_plan();
     let full = plan.run(k, 0.5).expect("resolve");
     let rerun = plan.run(k, 0.9).expect("threshold re-run");

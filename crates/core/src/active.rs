@@ -16,9 +16,10 @@
 
 use crate::checkpoint::{put_rng_state, AlSession, Cur};
 use crate::entity::{EntityRepr, IrTable};
-use crate::latent::{self, LatentTable};
+use crate::latent::LatentTable;
 use crate::matcher::{MatcherConfig, PairExamples, SiameseMatcher};
 use crate::repr::ReprModel;
+use crate::resilience::RunBudget;
 use crate::CoreError;
 use rand::SeedableRng;
 use vaer_data::{LabeledPair, Oracle, PairSet};
@@ -377,46 +378,25 @@ impl<'a> ActiveLearner<'a> {
     /// # Errors
     /// Propagates [`CoreError::InsufficientData`] when a class is empty.
     pub fn train_matcher(&self) -> Result<SiameseMatcher, CoreError> {
-        let n_labeled = self.labeled_pos.len() + self.labeled_neg.len();
-        if SiameseMatcher::frozen_for(&self.config.matcher, n_labeled) {
-            let pairs: Vec<(usize, usize)> = self
-                .labeled_pos
-                .iter()
-                .chain(self.labeled_neg.iter())
-                .copied()
-                .collect();
-            let labels: Vec<f32> = std::iter::repeat_n(1.0, self.labeled_pos.len())
-                .chain(std::iter::repeat_n(0.0, self.labeled_neg.len()))
-                .collect();
-            let features = latent::distance_features(
-                self.config.matcher.distance,
-                &self.lat_a,
-                &self.lat_b,
-                &pairs,
-            );
-            SiameseMatcher::train_cached(self.repr, &features, &labels, &self.config.matcher)
-        } else {
-            let examples = PairExamples::build(self.irs_a, self.irs_b, &self.labeled());
-            SiameseMatcher::train(self.repr, &examples, &self.config.matcher)
-        }
+        SiameseMatcher::train_labelled(
+            self.repr,
+            (self.irs_a, self.irs_b),
+            (&self.lat_a, &self.lat_b),
+            &self.labeled(),
+            &self.config.matcher,
+            &RunBudget::unlimited(),
+        )
     }
 
     /// Scores the unlabeled pool with `matcher`, reading cached latents
     /// when the matcher's encoder is frozen (the common case) and only
     /// re-encoding through the Siamese tape after fine-tuning.
     fn score_pool(&self, matcher: &SiameseMatcher) -> Vec<f32> {
-        if matcher.encoder_frozen() {
-            let features = latent::distance_features(
-                self.config.matcher.distance,
-                &self.lat_a,
-                &self.lat_b,
-                &self.pool,
-            );
-            matcher.predict_features(&features)
-        } else {
-            let examples = PairExamples::build_unlabeled(self.irs_a, self.irs_b, &self.pool);
-            matcher.predict(&examples)
-        }
+        matcher.score_pairs(
+            (self.irs_a, self.irs_b),
+            (&self.lat_a, &self.lat_b),
+            &self.pool,
+        )
     }
 
     /// Verifies bootstrap seeds against the oracle and moves misfiled

@@ -214,29 +214,15 @@ impl CheckpointStore {
 
     /// Writes snapshot `seq` atomically: envelope to a temp file, fsync,
     /// rename into place. Transient IO failures retry under the store's
-    /// [`RetryPolicy`] (capped, jittered exponential backoff).
-    ///
-    /// # Errors
-    /// [`CoreError::Io`] once the retry budget is spent.
-    pub fn write(&self, seq: u64, payload: &[u8]) -> Result<(), CoreError> {
-        self.write_budgeted(seq, payload, &RunBudget::unlimited())
-            .map(|_| ())
-    }
-
-    /// [`write`](Self::write) under a [`RunBudget`]: retry sleeps are
-    /// clamped to the remaining deadline (a retrying writer can never
-    /// sleep through it). Returns the number of retries burned so callers
-    /// can account them in a `ResolutionHealth` report.
+    /// [`RetryPolicy`] (capped, jittered exponential backoff), with retry
+    /// sleeps clamped to `budget`'s remaining deadline (a retrying writer
+    /// can never sleep through it). Returns the number of retries burned
+    /// so callers can account them in a `ResolutionHealth` report.
     ///
     /// # Errors
     /// [`CoreError::Io`] once the retry budget is spent or the run
     /// budget no longer allows a retry sleep.
-    pub fn write_budgeted(
-        &self,
-        seq: u64,
-        payload: &[u8],
-        budget: &RunBudget,
-    ) -> Result<u32, CoreError> {
+    pub fn write(&self, seq: u64, payload: &[u8], budget: &RunBudget) -> Result<u32, CoreError> {
         let envelope = seal(seq, payload);
         let final_path = self.path_for(seq);
         let tmp_path = self.dir.join(format!(".{}-{seq:08}.tmp", self.prefix));
@@ -602,7 +588,7 @@ impl AlSession {
     /// # Errors
     /// [`CoreError::Io`] when every write attempt fails.
     pub fn snapshot(&self, seq: u64, payload: &[u8]) -> Result<(), CoreError> {
-        self.ckpt.write(seq, payload)?;
+        self.ckpt.write(seq, payload, &RunBudget::unlimited())?;
         self.ckpt.prune(3)
     }
 }
@@ -642,7 +628,11 @@ mod tests {
         assert_eq!(store.read_latest().unwrap(), None);
         for seq in 0..5u64 {
             store
-                .write(seq, format!("payload-{seq}").as_bytes())
+                .write(
+                    seq,
+                    format!("payload-{seq}").as_bytes(),
+                    &RunBudget::unlimited(),
+                )
                 .unwrap();
         }
         assert_eq!(store.list().unwrap(), vec![0, 1, 2, 3, 4]);
@@ -658,8 +648,8 @@ mod tests {
     fn read_latest_skips_corrupt_snapshots() {
         let dir = temp_dir("fallback");
         let store = CheckpointStore::open(&dir, "t").unwrap();
-        store.write(1, b"good").unwrap();
-        store.write(2, b"newer").unwrap();
+        store.write(1, b"good", &RunBudget::unlimited()).unwrap();
+        store.write(2, b"newer", &RunBudget::unlimited()).unwrap();
         // Corrupt the newest file by hand (torn write).
         let newest = dir.join("t-00000002.ckpt");
         let bytes = fs::read(&newest).unwrap();
@@ -677,15 +667,13 @@ mod tests {
         let store = CheckpointStore::open(&dir, "t").unwrap();
         // First attempt fails, the retry succeeds.
         vaer_fault::configure("checkpoint.write=err@1").unwrap();
-        let retries = store
-            .write_budgeted(1, b"payload", &RunBudget::unlimited())
-            .unwrap();
+        let retries = store.write(1, b"payload", &RunBudget::unlimited()).unwrap();
         assert_eq!(retries, 1);
         assert_eq!(store.read(1).unwrap(), b"payload");
         // Under an exhausted budget the writer must not sleep-and-retry.
         vaer_fault::configure("checkpoint.write=err").unwrap();
         let b = RunBudget::unlimited().with_deadline(std::time::Duration::ZERO);
-        assert!(store.write_budgeted(2, b"payload", &b).is_err());
+        assert!(store.write(2, b"payload", &b).is_err());
         assert_eq!(
             vaer_fault::hits("checkpoint.write"),
             1,

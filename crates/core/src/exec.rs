@@ -195,11 +195,6 @@ impl Executor {
         }
     }
 
-    /// Whether a checkpoint store is mounted.
-    pub fn durable(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// Installs the run budget probed at every stage boundary (and handed
     /// to stages with long inner loops).
     pub fn set_budget(&mut self, budget: RunBudget) {
@@ -282,7 +277,7 @@ impl Executor {
             if let Some(body) = stage.save(&out) {
                 let mut payload = fingerprint.to_le_bytes().to_vec();
                 payload.extend_from_slice(&body);
-                let retries = store.write_budgeted(kind.seq(), &payload, &self.budget)?;
+                let retries = store.write(kind.seq(), &payload, &self.budget)?;
                 if retries > 0 {
                     self.health.borrow_mut().add_retries(retries);
                 }
@@ -774,46 +769,22 @@ pub struct ResolvePlan<'p> {
     executor: Executor,
     blocks: JoinCache<'p>,
     scored: BTreeMap<(usize, ScorePrecision), Vec<f32>>,
-    top_candidates: Option<usize>,
 }
 
 impl<'p> ResolvePlan<'p> {
-    /// A plan over `pipeline`, building the blocking index now if no
-    /// earlier plan/resolve call already has. The stage budget starts from
-    /// [`RunBudget::from_env`], so `VAER_DEADLINE_MS` bounds resolutions
-    /// out of the box; the eager index build here is not budgeted — use
-    /// [`new_budgeted`](Self::new_budgeted) to bound that too.
-    pub fn new(pipeline: &'p Pipeline) -> Self {
+    /// A plan over `pipeline` whose stages run under `budget`, building
+    /// the blocking index now (unbudgeted) if no earlier plan/resolve call
+    /// already has. [`Pipeline::resolve_plan_budgeted`] builds the index
+    /// under the budget first, so a plan it opens finds it built.
+    pub(crate) fn new(pipeline: &'p Pipeline, budget: RunBudget) -> Self {
         let mut executor = Executor::new();
-        executor.set_budget(RunBudget::from_env());
+        executor.set_budget(budget);
         Self {
             pipeline,
             executor,
             blocks: JoinCache::new(pipeline.query_keys(), pipeline.blocking_index()),
             scored: BTreeMap::new(),
-            top_candidates: None,
         }
-    }
-
-    /// A plan over `pipeline` under an explicit [`RunBudget`]: the LSH
-    /// index build (when this plan is the first to need it) is probed
-    /// cooperatively, and every subsequent stage runs under the same
-    /// budget.
-    ///
-    /// # Errors
-    /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
-    /// budget trips during the index build.
-    pub fn new_budgeted(pipeline: &'p Pipeline, budget: RunBudget) -> Result<Self, CoreError> {
-        let index = pipeline.blocking_index_budgeted(&budget)?;
-        let mut executor = Executor::new();
-        executor.set_budget(budget);
-        Ok(Self {
-            pipeline,
-            executor,
-            blocks: JoinCache::new(pipeline.query_keys(), index),
-            scored: BTreeMap::new(),
-            top_candidates: None,
-        })
     }
 
     /// Mounts a checkpoint store: Block and Score artifacts become
@@ -829,7 +800,7 @@ impl<'p> ResolvePlan<'p> {
     /// Replaces the stage budget (deadline/cancellation) probed at stage
     /// boundaries and inside long stage loops. The blocking index is
     /// already built by the time a plan exists; use
-    /// [`new_budgeted`](Self::new_budgeted) to bound that too.
+    /// [`Pipeline::resolve_plan_budgeted`] to bound that too.
     pub fn with_budget(mut self, budget: RunBudget) -> Self {
         self.executor.set_budget(budget);
         self
@@ -840,17 +811,6 @@ impl<'p> ResolvePlan<'p> {
     /// instead of failing the run. Defaults to [`RetryPolicy::none`].
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.executor.set_retry(retry);
-        self
-    }
-
-    /// Caps each left row at its `m` highest-probability candidates
-    /// before Link (batched top-candidate selection). With `m >= k` this
-    /// is a no-op (blocking already yields at most `k` candidates per
-    /// row); a smaller `m` trades link recall for Link-stage work on
-    /// dense candidate sets. Selection is deterministic: ties keep the
-    /// earlier candidate, NaN probabilities rank below everything.
-    pub fn with_top_candidates(mut self, m: usize) -> Self {
-        self.top_candidates = Some(m);
         self
     }
 
@@ -1017,10 +977,6 @@ impl<'p> ResolvePlan<'p> {
             (candidates, probs)
         };
         let n_candidates = candidates.len();
-        let (candidates, probs) = match self.top_candidates {
-            Some(m) => select_top_per_row(candidates, probs, m),
-            None => (candidates, probs),
-        };
         let links = self.executor.run_retrying(
             &mut LinkStage { threshold },
             (candidates, probs),
@@ -1072,63 +1028,6 @@ impl<'p> ResolvePlan<'p> {
     pub fn pipeline(&self) -> &'p Pipeline {
         self.pipeline
     }
-}
-
-/// Batched per-row top-`m` selection: keeps, for every left row, its `m`
-/// highest-probability candidates, preserving the original candidate
-/// order among survivors. Ties keep the earlier candidate; NaN
-/// probabilities rank below every real number (they would be dropped by
-/// Link anyway). Candidate lists and probabilities must be parallel.
-fn select_top_per_row(
-    candidates: Vec<CandidatePair>,
-    probs: Vec<f32>,
-    m: usize,
-) -> (Vec<CandidatePair>, Vec<f32>) {
-    debug_assert_eq!(candidates.len(), probs.len());
-    if m == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    // Group candidate indices by left row (blocking emits them grouped,
-    // but the selection does not rely on that).
-    let mut by_row: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (i, c) in candidates.iter().enumerate() {
-        by_row.entry(c.left).or_default().push(i);
-    }
-    let sort_key = |i: usize| {
-        let p = probs[i];
-        if p.is_nan() {
-            f32::NEG_INFINITY
-        } else {
-            p
-        }
-    };
-    let mut keep = vec![true; candidates.len()];
-    // vaer-lint: allow(cancel-probe-coverage) -- per-row top-m truncation bounded by candidate count; runs inside a probed stage
-    for indices in by_row.values_mut() {
-        if indices.len() <= m {
-            continue;
-        }
-        // Descending probability, earlier candidate wins ties; everything
-        // past rank m is cut.
-        indices.sort_by(|&a, &b| {
-            sort_key(b)
-                .partial_cmp(&sort_key(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        for &i in &indices[m..] {
-            keep[i] = false;
-        }
-    }
-    let mut kept_candidates = Vec::with_capacity(candidates.len());
-    let mut kept_probs = Vec::with_capacity(probs.len());
-    for (i, (c, p)) in candidates.into_iter().zip(probs).enumerate() {
-        if keep[i] {
-            kept_candidates.push(c);
-            kept_probs.push(p);
-        }
-    }
-    (kept_candidates, kept_probs)
 }
 
 #[cfg(test)]
@@ -1228,46 +1127,5 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "prob bits changed");
         }
         assert!(load_probs(&bytes[..bytes.len() - 2]).is_none(), "torn");
-    }
-
-    #[test]
-    fn top_per_row_selection_keeps_best_candidates_in_order() {
-        let cand = |l: usize, r: usize| CandidatePair {
-            left: l,
-            right: r,
-            distance: 0.0,
-        };
-        let candidates = vec![cand(0, 0), cand(0, 1), cand(0, 2), cand(1, 0), cand(1, 1)];
-        let probs = vec![0.2, 0.9, 0.5, 0.3, 0.1];
-        let (kept, kept_probs) = select_top_per_row(candidates.clone(), probs.clone(), 2);
-        // Row 0 keeps its two best (0,1)@0.9 and (0,2)@0.5 in original
-        // order; row 1 has only two candidates, both survive.
-        let pairs: Vec<(usize, usize)> = kept.iter().map(|c| (c.left, c.right)).collect();
-        assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 0), (1, 1)]);
-        assert_eq!(kept_probs, vec![0.9, 0.5, 0.3, 0.1]);
-        // m >= per-row candidate count is a no-op.
-        let (all, all_probs) = select_top_per_row(candidates.clone(), probs.clone(), 3);
-        assert_eq!(all.len(), candidates.len());
-        assert_eq!(all_probs, probs);
-        // m = 0 drops everything.
-        let (none, none_probs) = select_top_per_row(candidates, probs, 0);
-        assert!(none.is_empty() && none_probs.is_empty());
-    }
-
-    #[test]
-    fn top_per_row_selection_ranks_nan_last_and_breaks_ties_by_position() {
-        let cand = |l: usize, r: usize| CandidatePair {
-            left: l,
-            right: r,
-            distance: 0.0,
-        };
-        let candidates = vec![cand(0, 0), cand(0, 1), cand(0, 2), cand(0, 3)];
-        let probs = vec![f32::NAN, 0.4, 0.4, 0.4];
-        let (kept, kept_probs) = select_top_per_row(candidates, probs, 2);
-        // NaN ranks below every real probability; the 0.4 tie keeps the
-        // two earliest candidates.
-        let pairs: Vec<(usize, usize)> = kept.iter().map(|c| (c.left, c.right)).collect();
-        assert_eq!(pairs, vec![(0, 1), (0, 2)]);
-        assert_eq!(kept_probs, vec![0.4, 0.4]);
     }
 }

@@ -11,6 +11,7 @@
 //! margin `M`.
 
 use crate::entity::IrTable;
+use crate::latent::{self, LatentTable};
 use crate::repr::ReprModel;
 use crate::resilience::RunBudget;
 use crate::CoreError;
@@ -311,89 +312,81 @@ impl SiameseMatcher {
         examples: &PairExamples,
         config: &MatcherConfig,
     ) -> Result<Self, CoreError> {
-        Self::train_budgeted(repr, examples, config, &RunBudget::unlimited())
-    }
-
-    /// [`train`](Self::train) under a [`RunBudget`]: the budget is probed
-    /// at the top of every epoch, including epochs retried by the
-    /// divergence guard, so a flapping trainer consumes its deadline
-    /// instead of looping past it.
-    ///
-    /// # Errors
-    /// Same as [`train`](Self::train), plus [`CoreError::Cancelled`] /
-    /// [`CoreError::DeadlineExceeded`] when the budget trips.
-    pub fn train_budgeted(
-        repr: &ReprModel,
-        examples: &PairExamples,
-        config: &MatcherConfig,
-        budget: &RunBudget,
-    ) -> Result<Self, CoreError> {
         check_labels(&examples.labels)?;
-        let arity = examples.arity();
-        let (mut matcher, mut rng) = Self::init(repr, arity, examples.len(), config);
-        matcher.fit(examples, &mut rng, budget)?;
+        let (mut matcher, mut rng) = Self::init(repr, examples.arity(), examples.len(), config);
+        matcher.fit(examples, &mut rng, &RunBudget::unlimited())?;
         Ok(matcher)
     }
 
-    /// Trains the matcher from a latent cache instead of raw IRs — valid
-    /// exactly when [`frozen_for`](Self::frozen_for) holds, because then
-    /// the encoder never moves and the cached Distance-layer `features`
-    /// (from [`crate::latent::distance_features`]) are the constants the
-    /// frozen training path would compute anyway. Produces a matcher
-    /// bit-identical to [`train`](Self::train) on the same pairs.
+    /// Trains on `labelled` `(a_row, b_row)` pairs of two tables, under
+    /// `budget` (probed every epoch, divergence-guard retries included).
+    ///
+    /// The lane is picked here: while [`frozen_for`](Self::frozen_for)
+    /// holds the encoder never moves, so the Distance-layer features are
+    /// read from the latent caches `lats` and only the MLP trains;
+    /// otherwise the encoder fine-tunes over the raw IRs `irs`. Both lanes
+    /// produce the matcher [`train`](Self::train) would on the same pairs.
     ///
     /// # Errors
-    /// [`CoreError::BadInput`] when the configuration would fine-tune the
-    /// encoder (use [`train`](Self::train) with IR examples instead) or
-    /// the feature width is not a multiple of the latent dimensionality;
-    /// [`CoreError::InsufficientData`] on empty/single-class labels.
-    pub fn train_cached(
-        repr: &ReprModel,
-        features: &Matrix,
-        labels: &[f32],
-        config: &MatcherConfig,
-    ) -> Result<Self, CoreError> {
-        Self::train_cached_budgeted(repr, features, labels, config, &RunBudget::unlimited())
-    }
-
-    /// [`train_cached`](Self::train_cached) under a [`RunBudget`] (see
-    /// [`train_budgeted`](Self::train_budgeted)).
-    ///
-    /// # Errors
-    /// Same as [`train_cached`](Self::train_cached), plus
+    /// [`CoreError::InsufficientData`] on empty/single-class labels;
     /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
     /// budget trips.
-    pub fn train_cached_budgeted(
+    pub(crate) fn train_labelled(
         repr: &ReprModel,
-        features: &Matrix,
-        labels: &[f32],
+        irs: (&IrTable, &IrTable),
+        lats: (&LatentTable, &LatentTable),
+        labelled: &PairSet,
         config: &MatcherConfig,
         budget: &RunBudget,
     ) -> Result<Self, CoreError> {
-        if !Self::frozen_for(config, labels.len()) {
-            return Err(CoreError::BadInput(
-                "cached training requires a frozen encoder".into(),
-            ));
+        let labels: Vec<f32> = labelled
+            .pairs
+            .iter()
+            .map(|p| if p.is_match { 1.0 } else { 0.0 })
+            .collect();
+        check_labels(&labels)?;
+        if Self::frozen_for(config, labels.len()) {
+            let pairs: Vec<(usize, usize)> =
+                labelled.pairs.iter().map(|p| (p.left, p.right)).collect();
+            let features = latent::distance_features(config.distance, lats.0, lats.1, &pairs);
+            let _span = vaer_obs::span("matcher.fit");
+            let (mut matcher, mut rng) = Self::init(repr, irs.0.arity, labels.len(), config);
+            matcher.fit_mlp_on_features(&features, &labels, &mut rng, budget)?;
+            Ok(matcher)
+        } else {
+            let examples = PairExamples::build(irs.0, irs.1, labelled);
+            let (mut matcher, mut rng) = Self::init(repr, irs.0.arity, labels.len(), config);
+            matcher.fit(&examples, &mut rng, budget)?;
+            Ok(matcher)
         }
-        check_labels(labels)?;
-        let _span = vaer_obs::span("matcher.fit");
-        let latent_dim = repr.config().latent_dim;
-        if !features.cols().is_multiple_of(latent_dim) {
-            return Err(CoreError::BadInput(format!(
-                "feature width {} is not a multiple of latent dim {latent_dim}",
-                features.cols()
-            )));
+    }
+
+    /// Duplicate probabilities for `(a_row, b_row)` pairs of two tables:
+    /// from the latent caches `lats` while this matcher's encoder is
+    /// frozen, through the fine-tuned encoder over the raw IRs `irs`
+    /// otherwise.
+    pub(crate) fn score_pairs(
+        &self,
+        irs: (&IrTable, &IrTable),
+        lats: (&LatentTable, &LatentTable),
+        pairs: &[(usize, usize)],
+    ) -> Vec<f32> {
+        if self.frozen_encoder {
+            self.predict_features(&latent::distance_features(
+                self.config.distance,
+                lats.0,
+                lats.1,
+                pairs,
+            ))
+        } else {
+            self.predict(&PairExamples::build_unlabeled(irs.0, irs.1, pairs))
         }
-        let arity = features.cols() / latent_dim;
-        let (mut matcher, mut rng) = Self::init(repr, arity, labels.len(), config);
-        matcher.fit_mlp_on_features(features, labels, &mut rng, budget)?;
-        Ok(matcher)
     }
 
     /// Whether a matcher trained with `config` on `n_pairs` labelled
     /// pairs keeps the encoder frozen — the predicate that gates every
     /// latent-cache fast path.
-    pub fn frozen_for(config: &MatcherConfig, n_pairs: usize) -> bool {
+    fn frozen_for(config: &MatcherConfig, n_pairs: usize) -> bool {
         !config.fine_tune_encoder || n_pairs < config.fine_tune_min_pairs
     }
 
@@ -539,8 +532,8 @@ impl SiameseMatcher {
 
     /// The frozen-encoder training loop: minibatch BCE on the small MLP
     /// over precomputed Distance-layer features. Shared by [`fit`] (which
-    /// computes the features from IRs) and [`Self::train_cached`] (which
-    /// receives them from the latent cache) so both produce bit-identical
+    /// computes the features from IRs) and [`Self::train_labelled`] (which
+    /// reads them from the latent caches) so both produce bit-identical
     /// matchers.
     fn fit_mlp_on_features(
         &mut self,

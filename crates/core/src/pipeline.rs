@@ -48,8 +48,6 @@ pub struct PipelineConfig {
     pub repr: ReprConfig,
     /// Siamese matcher hyper-parameters.
     pub matcher: MatcherConfig,
-    /// Top-K for blocking and representation reports (paper: 10).
-    pub knn_k: usize,
     /// Auto-labelled negatives added to matcher training, as a multiple of
     /// the labelled pair count. Uniform random (a, b) pairs are negatives
     /// with overwhelming probability (duplicates are a vanishing fraction
@@ -62,7 +60,7 @@ pub struct PipelineConfig {
     pub seed: u64,
     /// When set, VAE training snapshots its state into this directory and
     /// resumes from the newest valid snapshot after a crash (see
-    /// [`ReprModel::train_checkpointed`]). `None` disables durability.
+    /// [`ReprModel::train_with`]). `None` disables durability.
     pub checkpoint_dir: Option<PathBuf>,
     /// Snapshot cadence in epochs when `checkpoint_dir` is set.
     pub checkpoint_every: usize,
@@ -77,7 +75,6 @@ impl Default for PipelineConfig {
             ir_dim: 64,
             repr: ReprConfig::default(),
             matcher: MatcherConfig::default(),
-            knn_k: 10,
             auto_negative_ratio: 4.0,
             seed: 0x7A3E,
             checkpoint_dir: None,
@@ -258,19 +255,16 @@ impl Pipeline {
             Some(model) => (model, ReprTrainStats::default(), 0.0),
             None => {
                 let all_irs = irs_a.irs.vconcat(&irs_b.irs);
-                let (model, stats) = match &config.checkpoint_dir {
-                    Some(dir) => {
-                        let snapshots = crate::checkpoint::CheckpointStore::open(dir, "vae")?;
-                        ReprModel::train_checkpointed_budgeted(
-                            &all_irs,
-                            &repr_config,
-                            &snapshots,
-                            config.checkpoint_every,
-                            budget,
-                        )?
-                    }
-                    None => ReprModel::train_budgeted(&all_irs, &repr_config, budget)?,
+                let snapshots = match &config.checkpoint_dir {
+                    Some(dir) => Some(crate::checkpoint::CheckpointStore::open(dir, "vae")?),
+                    None => None,
                 };
+                let (model, stats) = ReprModel::train_with(
+                    &all_irs,
+                    &repr_config,
+                    budget,
+                    snapshots.as_ref().map(|s| (s, config.checkpoint_every)),
+                )?;
                 (model, stats, t1.elapsed().as_secs_f64())
             }
         };
@@ -325,42 +319,32 @@ impl Pipeline {
                 config.seed ^ 0xA06E,
             ));
         }
-        let (matcher, quantized) =
-            if SiameseMatcher::frozen_for(&matcher_config, train_pairs.pairs.len()) {
-                let pairs: Vec<(usize, usize)> = train_pairs
-                    .pairs
-                    .iter()
-                    .map(|p| (p.left, p.right))
-                    .collect();
-                let labels: Vec<f32> = train_pairs
-                    .pairs
-                    .iter()
-                    .map(|p| if p.is_match { 1.0 } else { 0.0 })
-                    .collect();
-                let features =
-                    latent::distance_features(matcher_config.distance, &lat_a, &lat_b, &pairs);
-                let matcher = SiameseMatcher::train_cached_budgeted(
-                    &repr,
-                    &features,
-                    &labels,
-                    &matcher_config,
-                    budget,
-                )?;
-                // The training features double as the int8 calibration set:
-                // deterministic, already materialised, and drawn from the
-                // same distance-feature distribution resolution will score.
-                let quantized = Some(matcher.quantized(&features)?);
-                (matcher, quantized)
-            } else {
-                let examples = PairExamples::build(&irs_a, &irs_b, &train_pairs);
-                // Fine-tuning invalidates the latent caches the quantized
-                // lane reads from, so no int8 twin is built (Int8 requests
-                // fall back to f32 at resolution time).
-                (
-                    SiameseMatcher::train_budgeted(&repr, &examples, &matcher_config, budget)?,
-                    None,
-                )
-            };
+        let matcher = SiameseMatcher::train_labelled(
+            &repr,
+            (&irs_a, &irs_b),
+            (&lat_a, &lat_b),
+            &train_pairs,
+            &matcher_config,
+            budget,
+        )?;
+        // A frozen encoder's training features double as the int8
+        // calibration set: deterministic, and drawn from the same
+        // distance-feature distribution resolution will score. Fine-tuning
+        // invalidates the latent caches the quantized lane reads from, so
+        // no int8 twin is built (Int8 requests fall back to f32 at
+        // resolution time).
+        let quantized = if matcher.encoder_frozen() {
+            let pairs: Vec<(usize, usize)> = train_pairs
+                .pairs
+                .iter()
+                .map(|p| (p.left, p.right))
+                .collect();
+            let features =
+                latent::distance_features(matcher_config.distance, &lat_a, &lat_b, &pairs);
+            Some(matcher.quantized(&features)?)
+        } else {
+            None
+        };
         let match_secs = t2.elapsed().as_secs_f64();
         drop(stage);
         vaer_obs::event(
@@ -402,30 +386,22 @@ impl Pipeline {
     /// common case) the features come from the latent caches rather than
     /// re-running the encoder per call.
     ///
-    /// # Panics
-    /// Panics when a `vaer-fault` failpoint injects an error into the
-    /// Encode/Score stages — outside fault-injection tests the stage
-    /// computations are infallible.
-    pub fn predict(&self, pairs: &PairSet) -> Vec<f32> {
+    /// # Errors
+    /// [`CoreError::Io`] when a `vaer-fault` failpoint injects an error
+    /// into the Encode/Score stages.
+    pub fn predict(&self, pairs: &PairSet) -> Result<Vec<f32>, CoreError> {
         let idx: Vec<(usize, usize)> = pairs.pairs.iter().map(|p| (p.left, p.right)).collect();
         let executor = exec::Executor::new();
-        let scored = executor
-            .run(
-                &mut exec::EncodeStage { pipeline: self },
-                idx,
-                self.config.seed,
-            )
-            .and_then(|features| {
-                executor.run(
-                    &mut exec::ScoreStage { pipeline: self },
-                    features,
-                    self.config.seed,
-                )
-            });
-        match scored {
-            Ok(probs) => probs,
-            Err(e) => panic!("prediction stages failed: {e}"),
-        }
+        let features = executor.run(
+            &mut exec::EncodeStage { pipeline: self },
+            idx,
+            self.config.seed,
+        )?;
+        executor.run(
+            &mut exec::ScoreStage { pipeline: self },
+            features,
+            self.config.seed,
+        )
     }
 
     /// P/R/F1 of the matcher on a labelled pair set.
@@ -455,11 +431,8 @@ impl Pipeline {
     /// built on first use and shared by every later blocking or
     /// resolution call (the latents are frozen, so it never goes stale).
     pub fn blocking_index(&self) -> &E2Lsh {
-        self.artifacts.index.get_or_init(|| {
-            crate::obs::handles().exec_index_builds.incr();
-            let b_keys: Vec<Vec<f32>> = self.reprs_b.iter().map(EntityRepr::flat_mu).collect();
-            E2Lsh::build_calibrated(b_keys, self.config.seed ^ 0xB10C)
-        })
+        self.blocking_index_budgeted(&RunBudget::unlimited())
+            .expect("an unlimited budget never abandons the index build") // vaer-lint: allow(panic) -- an unlimited budget never trips a probe
     }
 
     /// [`blocking_index`](Self::blocking_index) under a [`RunBudget`]:
@@ -471,7 +444,7 @@ impl Pipeline {
     /// # Errors
     /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
     /// budget trips mid-build (nothing is cached in that case).
-    pub fn blocking_index_budgeted(&self, budget: &RunBudget) -> Result<&E2Lsh, CoreError> {
+    pub(crate) fn blocking_index_budgeted(&self, budget: &RunBudget) -> Result<&E2Lsh, CoreError> {
         if let Some(index) = self.artifacts.index.get() {
             return Ok(index);
         }
@@ -519,9 +492,14 @@ impl Pipeline {
     /// Block → Encode → Score → Link → Cluster dataflow with per-`k`
     /// artifact reuse, optional checkpointing, and typed errors. Use this
     /// instead of [`resolve`](Self::resolve) to sweep thresholds without
-    /// re-blocking or to survive mid-resolution crashes.
+    /// re-blocking or to survive mid-resolution crashes. The stage budget
+    /// starts from [`RunBudget::from_env`], so `VAER_DEADLINE_MS` bounds
+    /// resolutions out of the box; the blocking-index build (when this
+    /// plan triggers it) is not budgeted — use
+    /// [`resolve_plan_budgeted`](Self::resolve_plan_budgeted) to bound
+    /// that too.
     pub fn resolve_plan(&self) -> ResolvePlan<'_> {
-        ResolvePlan::new(self)
+        ResolvePlan::new(self, RunBudget::from_env())
     }
 
     /// [`resolve_plan`](Self::resolve_plan) under an explicit
@@ -532,7 +510,8 @@ impl Pipeline {
     /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
     /// budget trips during the index build.
     pub fn resolve_plan_budgeted(&self, budget: RunBudget) -> Result<ResolvePlan<'_>, CoreError> {
-        ResolvePlan::new_budgeted(self, budget)
+        self.blocking_index_budgeted(&budget)?;
+        Ok(ResolvePlan::new(self, budget))
     }
 
     /// Full ER resolution: LSH blocking with top-`k` candidates, then
@@ -550,15 +529,12 @@ impl Pipeline {
     /// Candidates scored NaN by a pathological matcher are dropped before
     /// the threshold cut, deterministically.
     ///
-    /// # Panics
-    /// Panics when a `vaer-fault` failpoint injects an error into a
-    /// resolution stage — outside fault-injection tests the stage
-    /// computations are infallible.
-    pub fn resolve(&self, k: usize, threshold: f32) -> Vec<(usize, usize, f32)> {
-        match self.resolve_plan().run(k, threshold) {
-            Ok(resolution) => resolution.links,
-            Err(e) => panic!("resolution stages failed: {e}"),
-        }
+    /// # Errors
+    /// Same as [`ResolvePlan::run`]: [`CoreError::Io`] when a `vaer-fault`
+    /// failpoint injects an error into a stage, and
+    /// [`CoreError::DeadlineExceeded`] when `VAER_DEADLINE_MS` expires.
+    pub fn resolve(&self, k: usize, threshold: f32) -> Result<Vec<(usize, usize, f32)>, CoreError> {
+        Ok(self.resolve_plan().run(k, threshold)?.links)
     }
 
     /// The pre-refactor monolithic resolution path, kept verbatim as the
@@ -760,7 +736,7 @@ mod tests {
     fn resolve_returns_confident_sorted_links() {
         let ds = DomainSpec::new(Domain::Restaurants, Scale::Tiny).generate(6);
         let p = Pipeline::fit(&ds, &fast_config(6)).unwrap();
-        let links = p.resolve(5, 0.5);
+        let links = p.resolve(5, 0.5).unwrap();
         assert!(!links.is_empty());
         for w in links.windows(2) {
             assert!(w[0].2 >= w[1].2, "links not sorted by confidence");
@@ -782,7 +758,7 @@ mod tests {
         let ds = DomainSpec::new(Domain::Beer, Scale::Tiny).generate(8);
         let p = Pipeline::fit(&ds, &fast_config(8)).unwrap();
         assert!(p.matcher().encoder_frozen(), "tiny pairs must stay frozen");
-        let cached = p.predict(&ds.test_pairs);
+        let cached = p.predict(&ds.test_pairs).unwrap();
         let direct = p
             .matcher()
             .predict(&PairExamples::build(&p.irs_a, &p.irs_b, &ds.test_pairs));
@@ -889,12 +865,12 @@ mod tests {
         let rerun = plan.run(5, 0.8).unwrap();
         assert!(rerun.reused, "threshold re-run recomputed the scores");
         assert_eq!(rerun.candidates, first.candidates);
-        assert_eq!(rerun.links, p.resolve(5, 0.8));
+        assert_eq!(rerun.links, p.resolve(5, 0.8).unwrap());
         // New k: re-blocks (not reused) but still never rebuilds the
         // index (asserted via obs counters in tests/exec_resume.rs).
         let wider = plan.run(7, 0.5).unwrap();
         assert!(!wider.reused);
-        assert_eq!(wider.links, p.resolve(7, 0.5));
+        assert_eq!(wider.links, p.resolve(7, 0.5).unwrap());
         // Clustering through the plan matches clustering the links.
         let entities = plan.entities(5, 0.5, false).unwrap();
         let direct: Vec<(usize, usize)> = first.links.iter().map(|&(a, b, _)| (a, b)).collect();

@@ -141,78 +141,38 @@ impl ReprModel {
     /// [`CoreError::BadInput`] when `irs` is empty or its width disagrees
     /// with `config.ir_dim`.
     pub fn train(irs: &Matrix, config: &ReprConfig) -> Result<(Self, ReprTrainStats), CoreError> {
-        Self::train_impl(irs, config, None, &RunBudget::unlimited())
+        Self::train_with(irs, config, &RunBudget::unlimited(), None)
     }
 
-    /// [`train`](Self::train) under a [`RunBudget`]: the budget is probed
-    /// at the top of every epoch — including epochs retried by the
-    /// divergence guard, so a flapping trainer consumes its deadline
-    /// instead of looping past it.
+    /// [`train`](Self::train) under a [`RunBudget`], optionally durable.
     ///
-    /// # Errors
-    /// Same as [`train`](Self::train), plus [`CoreError::Cancelled`] /
-    /// [`CoreError::DeadlineExceeded`] when the budget trips.
-    pub fn train_budgeted(
-        irs: &Matrix,
-        config: &ReprConfig,
-        budget: &RunBudget,
-    ) -> Result<(Self, ReprTrainStats), CoreError> {
-        Self::train_impl(irs, config, None, budget)
-    }
-
-    /// Like [`train`](Self::train), but durable: training state (weights,
+    /// The budget is probed at the top of every epoch — including epochs
+    /// retried by the divergence guard, so a flapping trainer consumes its
+    /// deadline instead of looping past it.
+    ///
+    /// With `snapshots = Some((store, every))`, training state (weights,
     /// optimizer moments, RNG streams, per-epoch stats) is snapshotted to
-    /// `snapshots` every `every` epochs plus once after the final epoch,
-    /// and — when a valid snapshot for this configuration already exists —
+    /// `store` every `every` epochs plus once after the final epoch, and —
+    /// when a valid snapshot for this configuration already exists —
     /// training **resumes** from it instead of starting over. A resumed
-    /// run is bit-identical to an uninterrupted one.
-    ///
-    /// Torn or corrupt snapshots are skipped in favour of the newest valid
-    /// one; a valid snapshot whose dimensions disagree with `config` is an
-    /// error (it belongs to a different run).
+    /// run is bit-identical to an uninterrupted one. Torn or corrupt
+    /// snapshots are skipped in favour of the newest valid one; a valid
+    /// snapshot whose dimensions disagree with `config` is an error (it
+    /// belongs to a different run).
     ///
     /// # Errors
-    /// [`CoreError::BadInput`] on malformed `irs`, [`CoreError::Io`] /
+    /// Same as [`train`](Self::train), plus [`CoreError::Io`] /
     /// [`CoreError::Checkpoint`] on snapshot problems,
     /// [`CoreError::Diverged`] if the divergence guard exhausts its
-    /// retries.
-    pub fn train_checkpointed(
+    /// retries, and [`CoreError::Cancelled`] /
+    /// [`CoreError::DeadlineExceeded`] when the budget trips.
+    pub fn train_with(
         irs: &Matrix,
         config: &ReprConfig,
-        snapshots: &CheckpointStore,
-        every: usize,
-    ) -> Result<(Self, ReprTrainStats), CoreError> {
-        Self::train_impl(
-            irs,
-            config,
-            Some((snapshots, every.max(1))),
-            &RunBudget::unlimited(),
-        )
-    }
-
-    /// [`train_checkpointed`](Self::train_checkpointed) under a
-    /// [`RunBudget`] (see [`train_budgeted`](Self::train_budgeted)).
-    ///
-    /// # Errors
-    /// Same as [`train_checkpointed`](Self::train_checkpointed), plus
-    /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
-    /// budget trips.
-    pub fn train_checkpointed_budgeted(
-        irs: &Matrix,
-        config: &ReprConfig,
-        snapshots: &CheckpointStore,
-        every: usize,
         budget: &RunBudget,
-    ) -> Result<(Self, ReprTrainStats), CoreError> {
-        Self::train_impl(irs, config, Some((snapshots, every.max(1))), budget)
-    }
-
-    fn train_impl(
-        irs: &Matrix,
-        config: &ReprConfig,
         snapshots: Option<(&CheckpointStore, usize)>,
-        budget: &RunBudget,
     ) -> Result<(Self, ReprTrainStats), CoreError> {
+        let snapshots = snapshots.map(|(store, every)| (store, every.max(1)));
         if irs.rows() == 0 {
             return Err(CoreError::BadInput("no IRs to train on".into()));
         }
@@ -467,14 +427,22 @@ impl ReprModel {
             state.epoch += 1;
             if let Some((ckpt, every)) = snapshots {
                 if state.epoch.is_multiple_of(every) && state.epoch < config.epochs {
-                    ckpt.write(state.epoch as u64, &state.to_bytes(config))?;
+                    ckpt.write(
+                        state.epoch as u64,
+                        &state.to_bytes(config),
+                        &RunBudget::unlimited(),
+                    )?;
                 }
             }
         }
         // Final snapshot, unconditional: re-running a finished job resumes
         // here instantly instead of retraining.
         if let Some((ckpt, _)) = snapshots {
-            ckpt.write(config.epochs as u64, &state.to_bytes(config))?;
+            ckpt.write(
+                config.epochs as u64,
+                &state.to_bytes(config),
+                &RunBudget::unlimited(),
+            )?;
         }
         Ok(())
     }
@@ -685,7 +653,7 @@ impl ReprModel {
     }
 }
 
-/// Full mid-training VAE state — everything [`ReprModel::train_checkpointed`]
+/// Full mid-training VAE state — everything [`ReprModel::train_with`]
 /// needs to resume bit-identically: epoch counter, weights, Adam moments,
 /// both RNG streams (batch shuffling and reparameterisation noise), and the
 /// stats accumulated so far.
@@ -1019,7 +987,9 @@ mod tests {
         // A checkpointed run from scratch must produce the same bits.
         let dir = temp_ckpt("full");
         let ckpt = CheckpointStore::open(&dir, "vae").unwrap();
-        let (full, full_stats) = ReprModel::train_checkpointed(&irs, &config, &ckpt, 2).unwrap();
+        let unlimited = RunBudget::unlimited();
+        let (full, full_stats) =
+            ReprModel::train_with(&irs, &config, &unlimited, Some((&ckpt, 2))).unwrap();
         assert_eq!(full.store().to_bytes(), plain.store().to_bytes());
         assert_eq!(full_stats.epoch_losses, plain_stats.epoch_losses);
 
@@ -1032,9 +1002,9 @@ mod tests {
         };
         let dir2 = temp_ckpt("resume");
         let ckpt2 = CheckpointStore::open(&dir2, "vae").unwrap();
-        ckpt2.write(seq, &payload).unwrap();
+        ckpt2.write(seq, &payload, &unlimited).unwrap();
         let (resumed, resumed_stats) =
-            ReprModel::train_checkpointed(&irs, &config, &ckpt2, 2).unwrap();
+            ReprModel::train_with(&irs, &config, &unlimited, Some((&ckpt2, 2))).unwrap();
         assert_eq!(
             resumed.store().to_bytes(),
             plain.store().to_bytes(),
@@ -1049,7 +1019,7 @@ mod tests {
         };
         let wide = Matrix::zeros(16, 16);
         assert!(matches!(
-            ReprModel::train_checkpointed(&wide, &other, &ckpt2, 2),
+            ReprModel::train_with(&wide, &other, &unlimited, Some((&ckpt2, 2))),
             Err(CoreError::BadInput(_)) | Err(CoreError::Checkpoint(_))
         ));
 

@@ -8,8 +8,6 @@
 //! the target tables to the source arity (truncate or pad, §VI-D), and
 //! skip representation training entirely.
 
-use crate::entity::IrTable;
-use crate::latent::LatentTable;
 use crate::repr::ReprModel;
 use crate::CoreError;
 use std::path::Path;
@@ -45,21 +43,11 @@ pub fn adapt_dataset_arity(dataset: &Dataset, arity: usize) -> Dataset {
     out
 }
 
-/// Revalidates latent caches after a model swap: any cache built from
-/// different weights than `repr` is re-encoded from its IR table, fresh
-/// ones pass through untouched. This is the invalidation hook callers
-/// run after [`load_repr`] replaces the representation model a
-/// [`LatentTable`] was built from.
-pub fn refresh_latents(repr: &ReprModel, caches: Vec<(LatentTable, &IrTable)>) -> Vec<LatentTable> {
-    caches
-        .into_iter()
-        .map(|(lat, irs)| lat.refresh(repr, irs))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entity::IrTable;
+    use crate::latent::LatentTable;
     use crate::repr::ReprConfig;
     use vaer_data::domains::{Domain, DomainSpec, Scale};
     use vaer_linalg::{Matrix, XorShiftRng};
@@ -81,7 +69,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_latents_reencodes_only_stale_caches() {
+    fn refresh_reencodes_only_stale_caches_after_a_model_swap() {
         let mut rng = XorShiftRng::new(2);
         let table = IrTable::new(2, Matrix::gaussian(20, 8, &mut rng));
         let (model, _) = ReprModel::train(&table.irs, &ReprConfig::fast(8)).unwrap();
@@ -96,17 +84,17 @@ mod tests {
         let reloaded = load_repr(&path).unwrap();
         std::fs::remove_file(&path).ok();
         crate::repr::reset_encode_calls();
-        let kept = refresh_latents(&reloaded, vec![(lat.clone(), &table)]);
+        let kept = lat.clone().refresh(&reloaded, &table);
         assert_eq!(crate::repr::encode_calls(), 0, "fresh cache re-encoded");
-        assert!(!kept[0].is_stale(&reloaded));
+        assert!(!kept.is_stale(&reloaded));
 
         // Different weights: the cache must be rebuilt.
         let other_irs = Matrix::gaussian(20, 8, &mut rng);
         let (other, _) = ReprModel::train(&other_irs, &ReprConfig::fast(8)).unwrap();
-        let rebuilt = refresh_latents(&other, vec![(lat, &table)]);
-        assert!(!rebuilt[0].is_stale(&other));
+        let rebuilt = lat.refresh(&other, &table);
+        assert!(!rebuilt.is_stale(&other));
         let direct = other.encode(&table.irs);
-        let ents = rebuilt[0].entities();
+        let ents = rebuilt.entities();
         assert_eq!(ents[0].attrs[0].mu, direct[0].mu);
     }
 

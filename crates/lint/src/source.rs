@@ -1,8 +1,9 @@
 //! Per-file facts derived from the token stream: which lines are test
 //! code, where `// vaer-lint: allow(...)` markers sit, and which lines
-//! fall inside functions documented with a `# Panics` section.
+//! fall inside functions documented with a `# Panics` section. Test code
+//! and `# Panics` spans are read off the [`ItemTree`].
 
-use crate::scanner::{scan, Tok, TokKind};
+use crate::scanner::{scan, Tok};
 use crate::syntax::{self, ItemTree};
 use std::path::PathBuf;
 
@@ -51,11 +52,6 @@ pub struct SourceFile {
     pub src: String,
     /// Total number of lines.
     pub num_lines: u32,
-    /// `true` for each 1-based line inside a `#[cfg(test)]` item.
-    test_lines: Vec<bool>,
-    /// `true` for each 1-based line inside a fn whose doc comment has a
-    /// `# Panics` section.
-    panics_doc_lines: Vec<bool>,
     /// Inline suppression markers.
     pub allows: Vec<AllowMarker>,
 }
@@ -65,8 +61,6 @@ impl SourceFile {
     pub fn parse(path: PathBuf, rel: String, kind: FileKind, src: &str) -> Self {
         let toks = scan(src);
         let num_lines = src.lines().count() as u32;
-        let test_lines = mark_cfg_test_regions(&toks, num_lines);
-        let panics_doc_lines = mark_panics_doc_fns(&toks, num_lines);
         let allows = collect_allow_markers(&toks);
         let tree = syntax::parse(&toks);
         Self {
@@ -77,8 +71,6 @@ impl SourceFile {
             tree,
             src: src.to_string(),
             num_lines,
-            test_lines,
-            panics_doc_lines,
             allows,
         }
     }
@@ -86,12 +78,20 @@ impl SourceFile {
     /// Whether the 1-based line is test code: the whole file for
     /// `tests/` files, or a `#[cfg(test)]` region in library code.
     pub fn is_test_line(&self, line: u32) -> bool {
-        self.kind == FileKind::Test || *self.test_lines.get(line as usize).unwrap_or(&false)
+        self.kind == FileKind::Test
+            || self
+                .tree
+                .test_spans
+                .iter()
+                .any(|&(first, last)| first <= line && line <= last)
     }
 
     /// Whether the line is inside a fn documented with `# Panics`.
     pub fn in_panics_documented_fn(&self, line: u32) -> bool {
-        *self.panics_doc_lines.get(line as usize).unwrap_or(&false)
+        self.tree
+            .fns
+            .iter()
+            .any(|f| f.panics_doc && f.line <= line && line <= f.end_line)
     }
 
     /// The allow marker (if any) covering `line` for `rule`.
@@ -100,183 +100,6 @@ impl SourceFile {
             .iter()
             .find(|m| m.rule == rule && (m.line == line || m.line + 1 == line))
     }
-}
-
-/// Marks every line covered by an item annotated `#[cfg(test)]`: the
-/// attribute's line through the matching close of the item's brace block.
-fn mark_cfg_test_regions(toks: &[Tok], num_lines: u32) -> Vec<bool> {
-    let mut marked = vec![false; num_lines as usize + 2];
-    let code: Vec<(usize, &Tok)> = toks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !t.is_comment())
-        .collect();
-    let mut k = 0usize;
-    while k + 4 < code.len() {
-        let (_, a) = code[k];
-        // `#[cfg(test)]` or `#[cfg(all(test, ...))]` — require `#`, `[`,
-        // `cfg`, then a `test` ident before the closing `]`.
-        if a.is_punct("#") && code[k + 1].1.is_punct("[") && code[k + 2].1.is_ident("cfg") {
-            let mut j = k + 3;
-            let mut depth = 0i32;
-            let mut saw_test = false;
-            while j < code.len() {
-                let t = code[j].1;
-                if t.is_punct("[") {
-                    depth += 1;
-                } else if t.is_punct("]") {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                } else if t.is_ident("test") {
-                    saw_test = true;
-                }
-                j += 1;
-            }
-            if saw_test && j < code.len() {
-                // Find the item's block: the first `{` at brace depth 0
-                // after the attribute (skipping further attributes), then
-                // its matching `}`. Items ending in `;` before any `{`
-                // (e.g. `#[cfg(test)] use …;`) cover only their own lines.
-                let start_line = a.line;
-                let mut m = j + 1;
-                let mut open = None;
-                while m < code.len() {
-                    let t = code[m].1;
-                    if t.is_punct("{") {
-                        open = Some(m);
-                        break;
-                    }
-                    if t.is_punct(";") {
-                        break;
-                    }
-                    m += 1;
-                }
-                let end_line = match open {
-                    Some(o) => matching_close_line(&code, o),
-                    None => code.get(m).map_or(start_line, |(_, t)| t.line),
-                };
-                for l in start_line..=end_line.min(num_lines) {
-                    marked[l as usize] = true;
-                }
-                k = j;
-                continue;
-            }
-        }
-        k += 1;
-    }
-    marked
-}
-
-/// Line of the `}` matching the `{` at `code[open]` (falls back to the
-/// last token's line on unbalanced input).
-fn matching_close_line(code: &[(usize, &Tok)], open: usize) -> u32 {
-    let mut depth = 0i32;
-    for (_, t) in code.iter().skip(open) {
-        if t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct("}") {
-            depth -= 1;
-            if depth == 0 {
-                return t.line;
-            }
-        }
-    }
-    code.last().map_or(0, |(_, t)| t.line)
-}
-
-/// Marks every line inside a `fn` whose preceding doc comment contains a
-/// `# Panics` section (the documented-invariant escape hatch of the
-/// panic rule).
-fn mark_panics_doc_fns(toks: &[Tok], num_lines: u32) -> Vec<bool> {
-    let mut marked = vec![false; num_lines as usize + 2];
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("fn") {
-            continue;
-        }
-        // Walk back over attributes and doc comments contiguous with the
-        // fn (visibility/qualifier idents like `pub`, `unsafe`, `const`,
-        // `extern`, string ABIs, and attribute brackets may intervene).
-        let mut has_panics_doc = false;
-        let mut j = i;
-        let mut bracket_depth = 0i32;
-        while j > 0 {
-            j -= 1;
-            let p = &toks[j];
-            match p.kind {
-                TokKind::LineComment | TokKind::BlockComment => {
-                    // Inner docs (`//!`, `/*! … */`) document the enclosing
-                    // module, not the fn that happens to follow them. The
-                    // scanner strips the comment opener, so they start `!`.
-                    if !p.text.starts_with('!') && p.text.contains("# Panics") {
-                        has_panics_doc = true;
-                    }
-                }
-                TokKind::Ident | TokKind::Str | TokKind::Lifetime | TokKind::Num => {
-                    // Part of an attribute or a qualifier; only keep
-                    // walking while plausibly still in the fn's header
-                    // prelude (qualifiers or attribute contents).
-                    if bracket_depth == 0
-                        && !matches!(
-                            p.text.as_str(),
-                            "pub" | "crate" | "unsafe" | "const" | "async" | "extern" | "in"
-                        )
-                        && p.kind == TokKind::Ident
-                    {
-                        break;
-                    }
-                }
-                TokKind::Punct => match p.text.as_str() {
-                    "]" => bracket_depth += 1,
-                    "[" => bracket_depth -= 1,
-                    "#" | "(" | ")" | "=" | "," | ":" => {}
-                    _ if bracket_depth > 0 => {}
-                    _ => break,
-                },
-                TokKind::Char => break,
-            }
-        }
-        if !has_panics_doc {
-            continue;
-        }
-        // Find the body block and mark its span.
-        let code: Vec<(usize, &Tok)> = toks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_comment())
-            .collect();
-        let Some(fn_pos) = code.iter().position(|(idx, _)| *idx == i) else {
-            continue;
-        };
-        let mut m = fn_pos + 1;
-        let mut open = None;
-        // Track paren/bracket depth so a `;` inside an array type in the
-        // signature (`[[i32; N]; M]`) is not mistaken for a bodyless
-        // trait-method declaration.
-        let mut depth = 0i32;
-        while m < code.len() {
-            let t = code[m].1;
-            if t.is_punct("(") || t.is_punct("[") {
-                depth += 1;
-            } else if t.is_punct(")") || t.is_punct("]") {
-                depth -= 1;
-            } else if t.is_punct("{") && depth == 0 {
-                open = Some(m);
-                break;
-            } else if t.is_punct(";") && depth == 0 {
-                break; // trait method declaration, no body
-            }
-            m += 1;
-        }
-        if let Some(o) = open {
-            let end_line = matching_close_line(&code, o);
-            for l in t.line..=end_line.min(num_lines) {
-                marked[l as usize] = true;
-            }
-        }
-    }
-    marked
 }
 
 /// Extracts `vaer-lint: allow(rule)` / `vaer-lint: allow(rule) -- reason`

@@ -6,10 +6,11 @@
 //! `if is_x86_feature_detected!(...)` block dominates a line, where a
 //! loop body starts and ends. This module recovers exactly that much
 //! structure — fn/impl nesting, attributes (including `#[cfg_attr]`-
-//! wrapped and multi-line forms), call expressions, loop spans, and
-//! feature-guard regions — in a single linear pass over the non-comment
-//! tokens. It is deliberately not a full parser: unbalanced or exotic
-//! input degrades to fewer facts, never to a panic.
+//! wrapped and multi-line forms), call expressions, loop spans,
+//! feature-guard regions, `#[cfg(test)]` item spans, and `# Panics` doc
+//! sections — in a single linear pass over the tokens. It is deliberately
+//! not a full parser: unbalanced or exotic input degrades to fewer facts,
+//! never to a panic.
 
 use crate::scanner::{Tok, TokKind};
 
@@ -29,6 +30,9 @@ pub struct FnItem {
     /// Whether the fn sits directly in an `impl <...> Stage for ...`
     /// block — the staged executor's entry points when named `run`.
     pub in_stage_impl: bool,
+    /// Whether the fn's doc comment has a `# Panics` section (the
+    /// documented-invariant escape hatch of the panic rule).
+    pub panics_doc: bool,
     /// Call expressions in the body: every `name(...)` / `.name(...)`.
     pub calls: Vec<Call>,
     /// `for`/`while`/`loop` body spans in the body (nested included).
@@ -79,6 +83,10 @@ pub struct ItemTree {
     pub target_feature_lines: Vec<u32>,
     /// Feature-guarded block spans.
     pub guards: Vec<GuardRegion>,
+    /// `(first, last)` lines of each item annotated `#[cfg(test)]`: the
+    /// attribute's line through the close of the item's brace block (or
+    /// its `;` for block-less items).
+    pub test_spans: Vec<(u32, u32)>,
 }
 
 impl ItemTree {
@@ -147,11 +155,25 @@ enum Frame {
     Guard { guard_idx: usize },
 }
 
-/// Parses the token stream into an item tree. Comments are skipped;
-/// strings/chars are opaque (an `unsafe` inside `r#"..."#` is data, not
-/// a site).
+/// Parses the token stream into an item tree. Comments only feed the
+/// `# Panics` doc facts; strings/chars are opaque (an `unsafe` inside
+/// `r#"..."#` is data, not a site).
 pub fn parse(toks: &[Tok]) -> ItemTree {
-    let code: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
+    // Non-comment tokens, each flagged when a `# Panics` doc comment
+    // precedes it. Inner docs (`//!`, `/*! … */`) document the enclosing
+    // module, not the next item; the scanner strips the comment opener,
+    // so they start `!`.
+    let mut code: Vec<&Tok> = Vec::new();
+    let mut panics_doc_before: Vec<bool> = Vec::new();
+    let mut saw_panics_doc = false;
+    for t in toks {
+        if t.is_comment() {
+            saw_panics_doc |= !t.text.starts_with('!') && t.text.contains("# Panics");
+        } else {
+            code.push(t);
+            panics_doc_before.push(std::mem::take(&mut saw_panics_doc));
+        }
+    }
     let mut tree = ItemTree::default();
     let mut stack: Vec<Frame> = Vec::new();
     let mut fn_stack: Vec<usize> = Vec::new();
@@ -159,11 +181,19 @@ pub fn parse(toks: &[Tok]) -> ItemTree {
     let mut pending_attrs: Vec<Vec<&Tok>> = Vec::new();
     let mut paren_depth: i32 = 0;
     let mut last_line = 0u32;
+    // A `# Panics` doc comment waiting for its `fn`: it stays attached
+    // across attributes, qualifiers, visibility parens and ABI strings.
+    let mut pending_panics_doc = false;
+    // Start line of a `#[cfg(test)]` attribute whose item has not opened
+    // its block yet, and `(stack depth, start line)` of open test items.
+    let mut pending_test: Option<u32> = None;
+    let mut open_tests: Vec<(usize, u32)> = Vec::new();
 
     let mut i = 0usize;
     while i < code.len() {
         let t = code[i];
         last_line = t.line;
+        pending_panics_doc |= panics_doc_before[i];
 
         // Attributes: consume `#[ ... ]` / `#![ ... ]` wholesale.
         if t.is_punct("#") && code.get(i + 1).is_some_and(|n| n.is_punct("[")) {
@@ -181,6 +211,12 @@ pub fn parse(toks: &[Tok]) -> ItemTree {
             let attr: Vec<&Tok> = code[start..j.saturating_sub(1)].to_vec();
             if attr_target_features(&attr).is_some() {
                 tree.target_feature_lines.push(t.line);
+            }
+            // `#[cfg(test)]` or `#[cfg(all(test, ...))]`.
+            if attr.first().is_some_and(|a| a.is_ident("cfg"))
+                && attr.iter().any(|a| a.is_ident("test"))
+            {
+                pending_test.get_or_insert(t.line);
             }
             pending_attrs.push(attr);
             i = j;
@@ -203,6 +239,19 @@ pub fn parse(toks: &[Tok]) -> ItemTree {
             }
             i = j;
             continue;
+        }
+
+        match t.kind {
+            TokKind::Ident if FN_QUALIFIERS.contains(&t.text.as_str()) || t.text == "fn" => {}
+            TokKind::Str => {}
+            TokKind::Punct if t.text == "(" || t.text == ")" => {}
+            _ => pending_panics_doc = false,
+        }
+        // A block-less `#[cfg(test)]` item (`use …;`) ends at its `;`.
+        if t.is_punct(";") {
+            if let Some(start) = pending_test.take() {
+                tree.test_spans.push((start, t.line));
+            }
         }
 
         // Track paren depth for pending-header resolution.
@@ -283,6 +332,7 @@ pub fn parse(toks: &[Tok]) -> ItemTree {
                                 end_line: t.line,
                                 features,
                                 in_stage_impl,
+                                panics_doc: std::mem::take(&mut pending_panics_doc),
                                 calls: Vec::new(),
                                 loops: Vec::new(),
                             });
@@ -386,27 +436,44 @@ pub fn parse(toks: &[Tok]) -> ItemTree {
                     }
                     None => Frame::Block,
                 };
+                if let Some(start) = pending_test.take() {
+                    open_tests.push((stack.len(), start));
+                }
                 stack.push(frame);
             }
-            TokKind::Punct if t.text == "}" => match stack.pop() {
-                Some(Frame::Fn { fn_idx }) => {
-                    tree.fns[fn_idx].end_line = t.line;
-                    fn_stack.pop();
+            TokKind::Punct if t.text == "}" => {
+                match stack.pop() {
+                    Some(Frame::Fn { fn_idx }) => {
+                        tree.fns[fn_idx].end_line = t.line;
+                        fn_stack.pop();
+                    }
+                    Some(Frame::Loop { fn_idx, loop_idx }) => {
+                        tree.fns[fn_idx].loops[loop_idx].end_line = t.line;
+                    }
+                    Some(Frame::Guard { guard_idx }) => {
+                        tree.guards[guard_idx].end = t.line;
+                    }
+                    _ => {}
                 }
-                Some(Frame::Loop { fn_idx, loop_idx }) => {
-                    tree.fns[fn_idx].loops[loop_idx].end_line = t.line;
+                if let Some(&(depth, start)) = open_tests.last() {
+                    if depth == stack.len() {
+                        open_tests.pop();
+                        tree.test_spans.push((start, t.line));
+                    }
                 }
-                Some(Frame::Guard { guard_idx }) => {
-                    tree.guards[guard_idx].end = t.line;
-                }
-                _ => {}
-            },
+            }
             _ => {}
         }
         i += 1;
     }
 
     // Unbalanced input: close whatever is still open at the last line.
+    for (_, start) in open_tests {
+        tree.test_spans.push((start, last_line));
+    }
+    if let Some(start) = pending_test {
+        tree.test_spans.push((start, start));
+    }
     while let Some(frame) = stack.pop() {
         match frame {
             Frame::Fn { fn_idx } => tree.fns[fn_idx].end_line = last_line,

@@ -46,7 +46,7 @@ fn main() {
     println!("test-set matching quality: {report}");
 
     // 4. Score a few individual pairs.
-    let probs = pipeline.predict(&dataset.test_pairs);
+    let probs = pipeline.predict(&dataset.test_pairs).expect("predictions");
     for (pair, prob) in dataset.test_pairs.pairs.iter().zip(&probs).take(5) {
         let name_a = &dataset.table_a.row(pair.left)[0];
         let name_b = &dataset.table_b.row(pair.right)[0];
@@ -58,10 +58,7 @@ fn main() {
 
     // 5. Full resolution: block with LSH, score every candidate pair on
     //    the configured precision lane, link above the threshold.
-    let resolution = pipeline
-        .resolve_plan()
-        .run(config.knn_k, 0.5)
-        .expect("resolution");
+    let resolution = pipeline.resolve_plan().run(10, 0.5).expect("resolution");
     println!(
         "resolved {} links from {} candidates ({:?} scoring)",
         resolution.links.len(),

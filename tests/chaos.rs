@@ -423,3 +423,26 @@ fn fit_survives_gradient_chaos_and_honours_budgets() {
         .unwrap_err();
     assert!(matches!(err, CoreError::Cancelled(_)), "got {err:?}");
 }
+
+/// The one-call entry points surface an injected stage fault as a typed
+/// error, like the plan API they wrap, instead of panicking.
+#[test]
+fn resolve_and_predict_return_typed_errors_on_stage_faults() {
+    let _guard = vaer::fault::test_lock();
+    vaer::fault::clear();
+    let (ds, p) = fitted(89);
+    vaer::fault::configure("exec.score=err").unwrap();
+    let resolved = catch_unwind(AssertUnwindSafe(|| p.resolve(5, 0.5).map(|_| ())));
+    let predicted = catch_unwind(AssertUnwindSafe(|| p.predict(&ds.test_pairs).map(|_| ())));
+    vaer::fault::clear();
+    let resolved = resolved.unwrap_or_else(|_| panic!("resolve panicked on a stage fault"));
+    assert!(
+        matches!(resolved, Err(CoreError::Io(_))),
+        "resolve: {resolved:?}"
+    );
+    let predicted = predicted.unwrap_or_else(|_| panic!("predict panicked on a stage fault"));
+    assert!(
+        matches!(predicted, Err(CoreError::Io(_))),
+        "predict: {predicted:?}"
+    );
+}

@@ -12,6 +12,7 @@ fn resolve_then_cluster_produces_sound_entities() {
     let pipeline = Pipeline::fit(&ds, &config).unwrap();
     let links: Vec<(usize, usize)> = pipeline
         .resolve(5, 0.5)
+        .unwrap()
         .into_iter()
         .map(|(a, b, _)| (a, b))
         .collect();
@@ -51,7 +52,7 @@ fn calibrated_threshold_is_usable_end_to_end() {
     let train_examples = vaer::core::matcher::PairExamples::build(irs_a, irs_b, &ds.train_pairs);
     let (threshold, f1_at_t) = pipeline.matcher().calibrate_threshold(&train_examples);
     assert!(f1_at_t > 0.0);
-    let links = pipeline.resolve(5, threshold.clamp(0.05, 0.95));
+    let links = pipeline.resolve(5, threshold.clamp(0.05, 0.95)).unwrap();
     // Links at the calibrated threshold should skew correct.
     let truth: std::collections::HashSet<(usize, usize)> = ds.duplicates.iter().copied().collect();
     let correct = links

@@ -10,6 +10,7 @@ use vaer::core::checkpoint::{AlSession, CheckpointStore};
 use vaer::core::entity::IrTable;
 use vaer::core::matcher::{MatcherConfig, PairExamples};
 use vaer::core::repr::{ReprConfig, ReprModel};
+use vaer::core::resilience::RunBudget;
 use vaer::data::{LabeledPair, Oracle, PairSet};
 use vaer::linalg::{Matrix, XorShiftRng};
 
@@ -103,7 +104,12 @@ fn vae_kill_and_resume_is_bit_identical() {
     // epochs 0..=3 complete, snapshots exist at epochs 2 and 4.
     vaer::fault::configure("vae.epoch=panic@5").unwrap();
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        ReprModel::train_checkpointed(&irs, &config, &snapshots, 2)
+        ReprModel::train_with(
+            &irs,
+            &config,
+            &RunBudget::unlimited(),
+            Some((&snapshots, 2)),
+        )
     }));
     vaer::fault::clear();
     assert!(crashed.is_err(), "kill switch did not fire");
@@ -114,8 +120,13 @@ fn vae_kill_and_resume_is_bit_identical() {
 
     // Second process: same call resumes from the newest snapshot and must
     // land exactly where the uninterrupted run did.
-    let (resumed, resumed_stats) =
-        ReprModel::train_checkpointed(&irs, &config, &snapshots, 2).unwrap();
+    let (resumed, resumed_stats) = ReprModel::train_with(
+        &irs,
+        &config,
+        &RunBudget::unlimited(),
+        Some((&snapshots, 2)),
+    )
+    .unwrap();
     assert_eq!(
         baseline.to_bytes(),
         resumed.to_bytes(),
@@ -137,14 +148,14 @@ fn checkpoint_write_retries_and_falls_back_past_torn_files() {
 
     // A transient IO error on the first attempt is absorbed by the retry.
     vaer::fault::configure("checkpoint.write=err@1").unwrap();
-    store.write(1, b"first").unwrap();
+    store.write(1, b"first", &RunBudget::unlimited()).unwrap();
     vaer::fault::clear();
     assert_eq!(store.read(1).unwrap(), b"first");
 
     // A torn write of snapshot 2 (half an envelope at the final path) is
     // detected by the CRC, and the newest-valid fallback serves snapshot 1.
     vaer::fault::configure("checkpoint.write=torn").unwrap();
-    store.write(2, b"second").unwrap();
+    store.write(2, b"second", &RunBudget::unlimited()).unwrap();
     vaer::fault::clear();
     assert!(store.read(2).is_err(), "torn snapshot passed validation");
     let (seq, payload) = store.read_latest().unwrap().expect("fallback snapshot");

@@ -92,5 +92,8 @@ fn deterministic_given_seed() {
     let ds = DomainSpec::new(Domain::Beer, Scale::Tiny).generate(4);
     let a = Pipeline::fit(&ds, &fast(4)).unwrap();
     let b = Pipeline::fit(&ds, &fast(4)).unwrap();
-    assert_eq!(a.predict(&ds.test_pairs), b.predict(&ds.test_pairs));
+    assert_eq!(
+        a.predict(&ds.test_pairs).unwrap(),
+        b.predict(&ds.test_pairs).unwrap()
+    );
 }

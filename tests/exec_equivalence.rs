@@ -24,7 +24,7 @@ fn staged_resolve_matches_monolith_across_domains_and_seeds() {
         let ds = DomainSpec::new(domain, Scale::Tiny).generate(seed);
         let pipeline = Pipeline::fit(&ds, &fast(seed)).unwrap();
         for (k, threshold) in [(5usize, 0.5f32), (10, 0.7), (3, 0.9)] {
-            let staged = pipeline.resolve(k, threshold);
+            let staged = pipeline.resolve(k, threshold).unwrap();
             let monolith = pipeline.resolve_reference(k, threshold);
             assert_eq!(
                 staged, monolith,
@@ -45,7 +45,7 @@ fn staged_resolve_matches_monolith_with_fine_tuned_encoder() {
     let pipeline = Pipeline::fit(&ds, &config).unwrap();
     for (k, threshold) in [(5usize, 0.5f32), (8, 0.8)] {
         assert_eq!(
-            pipeline.resolve(k, threshold),
+            pipeline.resolve(k, threshold).unwrap(),
             pipeline.resolve_reference(k, threshold),
             "fine-tuned path diverged at k {k} threshold {threshold}"
         );
@@ -59,7 +59,7 @@ fn resolve_probabilities_agree_with_predict() {
     // path, not two.
     let ds = DomainSpec::new(Domain::Beer, Scale::Tiny).generate(11);
     let pipeline = Pipeline::fit(&ds, &fast(11)).unwrap();
-    let links = pipeline.resolve(5, 0.3);
+    let links = pipeline.resolve(5, 0.3).unwrap();
     assert!(!links.is_empty(), "need links for the cross-check");
     let pairs = PairSet {
         pairs: links
@@ -71,7 +71,7 @@ fn resolve_probabilities_agree_with_predict() {
             })
             .collect(),
     };
-    let probs = pipeline.predict(&pairs);
+    let probs = pipeline.predict(&pairs).unwrap();
     for (link, prob) in links.iter().zip(&probs) {
         assert_eq!(link.2, *prob, "link {link:?} scored differently");
     }
@@ -89,11 +89,11 @@ fn plan_rerun_with_new_threshold_matches_fresh_resolve() {
         rerun.reused,
         "same-k re-run must reuse blocked+scored artifacts"
     );
-    assert_eq!(rerun.links, pipeline.resolve(5, 0.9));
+    assert_eq!(rerun.links, pipeline.resolve(5, 0.9).unwrap());
     // A different k invalidates the cached candidates but not the plan.
     let wider = plan.run(9, 0.5).unwrap();
     assert!(!wider.reused);
-    assert_eq!(wider.links, pipeline.resolve(9, 0.5));
+    assert_eq!(wider.links, pipeline.resolve(9, 0.5).unwrap());
 }
 
 #[test]
@@ -101,6 +101,9 @@ fn fit_and_resolve_are_deterministic_given_seed() {
     let ds = DomainSpec::new(Domain::Restaurants, Scale::Tiny).generate(23);
     let a = Pipeline::fit(&ds, &fast(23)).unwrap();
     let b = Pipeline::fit(&ds, &fast(23)).unwrap();
-    assert_eq!(a.predict(&ds.test_pairs), b.predict(&ds.test_pairs));
-    assert_eq!(a.resolve(5, 0.5), b.resolve(5, 0.5));
+    assert_eq!(
+        a.predict(&ds.test_pairs).unwrap(),
+        b.predict(&ds.test_pairs).unwrap()
+    );
+    assert_eq!(a.resolve(5, 0.5).unwrap(), b.resolve(5, 0.5).unwrap());
 }

@@ -36,7 +36,7 @@ fn staged_resolution_counts_builds_reports_failures_and_resumes() {
     vaer::obs::reset();
 
     // --- One index build across arbitrarily many resolves. ---
-    let baseline = pipeline.resolve(5, 0.5);
+    let baseline = pipeline.resolve(5, 0.5).unwrap();
     let mut plan = pipeline.resolve_plan();
     let first = plan.run(5, 0.5).unwrap();
     assert_eq!(first.links, baseline);

@@ -123,7 +123,7 @@ fn score_memos_never_mix_precisions() {
     assert!(f32_again.reused);
     // The f32 memo came through the int8 detour unpolluted: a threshold
     // re-run still matches a fresh f32 resolution exactly.
-    assert_eq!(f32_again.links, p.resolve(5, 0.8));
+    assert_eq!(f32_again.links, p.resolve(5, 0.8).unwrap());
 }
 
 #[test]
@@ -136,7 +136,7 @@ fn config_precision_drives_resolution_and_reports_back() {
     let res = plan.run(5, 0.5).unwrap();
     assert_eq!(res.precision, ScorePrecision::Int8);
     // `resolve` goes through the same configured lane.
-    assert_eq!(p.resolve(5, 0.5), res.links);
+    assert_eq!(p.resolve(5, 0.5).unwrap(), res.links);
 }
 
 #[test]

@@ -7,6 +7,7 @@ use rand::{rngs::StdRng, RngExt, SeedableRng};
 use vaer::core::checkpoint::CheckpointStore;
 use vaer::core::pipeline::{Pipeline, PipelineConfig};
 use vaer::core::repr::ReprModel;
+use vaer::core::resilience::RunBudget;
 use vaer::data::csv::{from_csv, to_csv};
 use vaer::data::domains::{Domain, DomainSpec, Scale};
 use vaer::linalg::Matrix;
@@ -167,7 +168,7 @@ fn fuzzed_checkpoint_files_are_rejected_not_loaded() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::open(&dir, "fuzz").unwrap();
     let payload: Vec<u8> = (0u16..512).map(|i| (i % 251) as u8).collect();
-    store.write(1, &payload).unwrap();
+    store.write(1, &payload, &RunBudget::unlimited()).unwrap();
     let path = dir.join("fuzz-00000001.ckpt");
     let good = std::fs::read(&path).unwrap();
     let mut rng = StdRng::seed_from_u64(0xC0DE);
