@@ -1,6 +1,6 @@
 //! Per-stage wall-clock *and memory* of the staged resolution executor
-//! (the §VI-B deployment path): fit once (frozen encoder, so the fused
-//! Score fast lane is live), resolve through a `ResolvePlan`, record the
+//! (the §VI-B deployment path): fit once (frozen encoder, so the int8
+//! Score lane is live), resolve through a `ResolvePlan`, record the
 //! stage span totals — seconds, allocation count/bytes, peak RSS — and
 //! artifact-reuse counters, then time the Score stage f32 vs int8 side
 //! by side over fresh plans — all into `BENCH_run.json`, together with
@@ -91,9 +91,9 @@ fn main() {
         PipelineConfig::paper()
     };
     config.seed = seed;
-    // Keep the encoder frozen at every scale: the fused Score stage and
-    // the int8 lane this harness times both require the latent caches.
-    config.matcher.fine_tune_encoder = false;
+    // Keep the encoder frozen at every scale: the int8 lane this harness
+    // times scores from the latent caches.
+    config.matcher.fine_tune_min_pairs = usize::MAX;
     let pipeline = Pipeline::fit(&ds, &config).expect("pipeline fit");
     // Freeze the fit-phase trainer spans (VAE training, matcher fit)
     // before the reset wipes them: their time + memory accounting goes

@@ -392,11 +392,15 @@ impl<'a> ActiveLearner<'a> {
     /// when the matcher's encoder is frozen (the common case) and only
     /// re-encoding through the Siamese tape after fine-tuning.
     fn score_pool(&self, matcher: &SiameseMatcher) -> Vec<f32> {
-        matcher.score_pairs(
-            (self.irs_a, self.irs_b),
-            (&self.lat_a, &self.lat_b),
-            &self.pool,
-        )
+        matcher
+            .score_pairs(
+                (self.irs_a, self.irs_b),
+                (&self.lat_a, &self.lat_b),
+                &self.pool,
+                None,
+                &RunBudget::unlimited(),
+            )
+            .expect("an unlimited budget never stops pool scoring") // vaer-lint: allow(panic) -- an unlimited budget never trips a probe
     }
 
     /// Verifies bootstrap seeds against the oracle and moves misfiled

@@ -203,11 +203,6 @@ impl CheckpointStore {
         self
     }
 
-    /// The snapshot directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn path_for(&self, seq: u64) -> PathBuf {
         self.dir.join(format!("{}-{seq:08}.ckpt", self.prefix))
     }

@@ -57,11 +57,6 @@ impl UnionFind {
         self.size[ra] += self.size[rb];
         true
     }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
 }
 
 /// One resolved entity: the rows (from either table) it comprises.
@@ -223,8 +218,8 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2), "already merged");
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 3));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(3));
     }
 
     #[test]

@@ -152,21 +152,6 @@ impl IrTable {
     }
 }
 
-/// Stacks each tuple's per-attribute IR sentences into one matrix of
-/// `tuples · arity` rows (the VAE's 2-D input of §III-A, footnote 1).
-///
-/// # Panics
-/// Panics on an empty slice — there is no sensible empty-matrix shape to
-/// return, and every caller builds the slice from a non-empty table.
-pub fn stack_irs(per_tuple: &[Matrix]) -> Matrix {
-    assert!(!per_tuple.is_empty(), "no tuples to stack");
-    let mut out = per_tuple[0].clone();
-    for m in &per_tuple[1..] {
-        out = out.vconcat(m);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,14 +247,5 @@ mod tests {
     #[should_panic]
     fn ir_table_rejects_ragged() {
         IrTable::new(3, Matrix::zeros(5, 2));
-    }
-
-    #[test]
-    fn stack_irs_concatenates() {
-        let a = Matrix::filled(2, 3, 1.0);
-        let b = Matrix::filled(1, 3, 2.0);
-        let s = stack_irs(&[a, b]);
-        assert_eq!(s.shape(), (3, 3));
-        assert_eq!(s.get(2, 0), 2.0);
     }
 }

@@ -9,15 +9,16 @@
 //!
 //! * **Block** — LSH top-`k` join over the frozen latent means, producing
 //!   candidate pairs ([`vaer_index::JoinCache`] memoises per `k`).
-//! * **Encode** — pair features: Distance-layer features from the latent
-//!   caches while the matcher's encoder is frozen, raw IR pair examples
-//!   otherwise.
-//! * **Score** — matcher probabilities for the candidate features. While
-//!   the encoder is frozen, resolution runs the *fused* form
-//!   ([`FusedScoreStage`]): encode-lookup → distance features → scoring in
-//!   one blocked pass per [`SCORE_BLOCK`] candidates, never materialising
-//!   the full feature matrix, optionally through the int8 lane
-//!   ([`ScorePrecision::Int8`]).
+//! * **Encode** — pair features in the form the matcher's encoder lane
+//!   needs ([`PairFeatures`]).
+//! * **Score** — matcher probabilities for the candidate pairs.
+//!   Resolution and `Pipeline::predict` run the *fused* form
+//!   ([`FusedScoreStage`]): encode → score in one pass per block of
+//!   candidates, never materialising the full feature matrix of a frozen
+//!   encoder ([`SCORE_BLOCK`] pairs per block), optionally through the
+//!   int8 lane ([`ScorePrecision::Int8`]). [`EncodeStage`] and
+//!   [`ScoreStage`] are the unfused adapters over the same matcher
+//!   primitives.
 //! * **Link** — threshold cut + greedy one-to-one matching, dropping
 //!   NaN-probability candidates deterministically.
 //! * **Cluster** — union-find consolidation into resolved entities.
@@ -38,8 +39,8 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::cluster::{cluster_links, EntityCluster};
-use crate::latent::{self, LatentTable};
-use crate::matcher::PairExamples;
+use crate::latent::LatentTable;
+use crate::matcher::PairFeatures;
 use crate::pipeline::{Pipeline, ScorePrecision};
 use crate::repr::ReprModel;
 use crate::resilience::{ResolutionHealth, RetryClass, RetryPolicy, RunBudget};
@@ -47,7 +48,8 @@ use crate::CoreError;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use vaer_index::{CandidatePair, JoinCache};
-use vaer_linalg::Matrix;
+
+pub use crate::matcher::SCORE_BLOCK;
 
 /// Every executor stage, in dataflow order. Each name is simultaneously
 /// the stage's obs span name and its registered failpoint; the
@@ -441,32 +443,10 @@ fn load_candidates(bytes: &[u8]) -> Option<Vec<CandidatePair>> {
     Some(out)
 }
 
-/// Pair features handed from Encode to Score.
-pub enum PairFeatures {
-    /// Distance-layer features from the frozen-encoder latent caches.
-    Cached(Matrix),
-    /// Raw IR pair examples for a fine-tuned encoder.
-    Raw(PairExamples),
-}
-
-impl PairFeatures {
-    /// Number of pairs the features cover.
-    pub fn len(&self) -> usize {
-        match self {
-            PairFeatures::Cached(m) => m.rows(),
-            PairFeatures::Raw(ex) => ex.len(),
-        }
-    }
-
-    /// Whether the feature set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Encode: pair features for candidate `(a_row, b_row)` pairs — from the
-/// latent caches while the matcher's encoder is frozen (the common case),
-/// from raw IRs otherwise.
+/// Encode: pair features for candidate `(a_row, b_row)` pairs, in the
+/// form the matcher's encoder lane needs (see
+/// [`SiameseMatcher`](crate::matcher::SiameseMatcher)) — the unfused
+/// adapter ahead of [`ScoreStage`].
 pub struct EncodeStage<'p> {
     /// The fitted pipeline whose caches/IRs feed the features.
     pub pipeline: &'p Pipeline,
@@ -482,18 +462,8 @@ impl Stage for EncodeStage<'_> {
 
     fn run(&mut self, pairs: Self::Input) -> Result<Self::Output, CoreError> {
         let p = self.pipeline;
-        if p.matcher.encoder_frozen() {
-            Ok(PairFeatures::Cached(latent::distance_features(
-                p.config.matcher.distance,
-                &p.lat_a,
-                &p.lat_b,
-                &pairs,
-            )))
-        } else {
-            Ok(PairFeatures::Raw(PairExamples::build_unlabeled(
-                &p.irs_a, &p.irs_b, &pairs,
-            )))
-        }
+        Ok(p.matcher
+            .pair_features((&p.irs_a, &p.irs_b), (&p.lat_a, &p.lat_b), &pairs))
     }
 }
 
@@ -520,7 +490,9 @@ impl Stage for EncodeTableStage<'_> {
     }
 }
 
-/// Score: matcher probabilities for encoded candidate pairs.
+/// Score: f32 matcher probabilities for [`EncodeStage`] features — the
+/// unfused adapter over the same scoring primitive [`FusedScoreStage`]
+/// runs per block.
 pub struct ScoreStage<'p> {
     /// The fitted pipeline whose matcher scores the features.
     pub pipeline: &'p Pipeline,
@@ -535,10 +507,7 @@ impl Stage for ScoreStage<'_> {
     }
 
     fn run(&mut self, features: PairFeatures) -> Result<Self::Output, CoreError> {
-        Ok(match features {
-            PairFeatures::Cached(m) => self.pipeline.matcher.predict_features(&m),
-            PairFeatures::Raw(ex) => self.pipeline.matcher.predict(&ex),
-        })
+        Ok(self.pipeline.matcher.score_features(&features, None))
     }
 
     fn save(&self, out: &Self::Output) -> Option<Vec<u8>> {
@@ -573,28 +542,21 @@ fn load_probs(bytes: &[u8]) -> Option<Vec<f32>> {
     Some(out)
 }
 
-/// Candidate pairs scored per fused block: bounds the transient feature
-/// matrix at `SCORE_BLOCK x (arity·latent)` however many candidates
-/// blocking produced. Scoring is row-independent, so the chunked result
-/// is bit-identical to a single full-matrix pass.
-pub const SCORE_BLOCK: usize = 512;
-
-/// Score (fused fast lane): for a frozen-encoder matcher, encode-lookup →
-/// distance features → scoring run as one blocked pass over the candidate
-/// pairs, without materialising the full feature matrix the separate
-/// Encode stage would build. Same stage identity (span, failpoint,
-/// checkpoint slot) as [`ScoreStage`] — it is the same dataflow node with
-/// a fused body; `exec.encode` simply never fires during a fused
-/// resolution.
+/// Score (fused): encode → score over the candidate pairs, one pass per
+/// block, for whichever encoder lane the matcher is on — the one Score
+/// body of resolution and `Pipeline::predict`. A frozen encoder's full
+/// feature matrix is never materialised (see [`SCORE_BLOCK`]). Same
+/// stage identity (span, failpoint, checkpoint slot) as [`ScoreStage`];
+/// `exec.encode` simply never fires during a fused resolution.
 pub struct FusedScoreStage<'p> {
-    /// The fitted pipeline whose latent caches and matcher score pairs.
+    /// The fitted pipeline whose latent caches / IRs and matcher score
+    /// pairs.
     pub pipeline: &'p Pipeline,
     /// Which scoring lane to run. `Int8` requires the pipeline to carry a
     /// calibrated [`crate::quant::QuantizedMatcher`].
     pub precision: ScorePrecision,
-    /// Run budget probed once per [`SCORE_BLOCK`] chunk, so cancellation
-    /// and deadlines surface mid-Score instead of only at stage
-    /// boundaries.
+    /// Run budget probed once per scoring block, so cancellation and
+    /// deadlines surface mid-Score instead of only at stage boundaries.
     pub budget: RunBudget,
 }
 
@@ -608,14 +570,7 @@ impl Stage for FusedScoreStage<'_> {
 
     fn run(&mut self, pairs: Self::Input) -> Result<Self::Output, CoreError> {
         let p = self.pipeline;
-        if !p.matcher.encoder_frozen() {
-            return Err(CoreError::BadInput(
-                "fused scoring requires a frozen encoder (latent caches are stale after \
-                 fine-tuning)"
-                    .into(),
-            ));
-        }
-        let quantized = match self.precision {
+        let int8 = match self.precision {
             ScorePrecision::F32 => None,
             ScorePrecision::Int8 => Some(p.quantized_matcher().ok_or_else(|| {
                 CoreError::BadInput(
@@ -623,27 +578,13 @@ impl Stage for FusedScoreStage<'_> {
                 )
             })?),
         };
-        let width = p.matcher.arity() * p.matcher.latent_dim();
-        let mut probs = Vec::with_capacity(pairs.len());
-        let mut buf = Matrix::zeros(SCORE_BLOCK.min(pairs.len().max(1)), width);
-        for chunk in pairs.chunks(SCORE_BLOCK) {
-            self.budget.probe("exec.score")?;
-            if buf.rows() != chunk.len() {
-                buf = Matrix::zeros(chunk.len(), width);
-            }
-            latent::distance_features_into(
-                p.config.matcher.distance,
-                &p.lat_a,
-                &p.lat_b,
-                chunk,
-                &mut buf,
-            );
-            probs.extend(match quantized {
-                Some(q) => q.predict_features(&buf),
-                None => p.matcher.predict_features(&buf),
-            });
-        }
-        Ok(probs)
+        p.matcher.score_pairs(
+            (&p.irs_a, &p.irs_b),
+            (&p.lat_a, &p.lat_b),
+            &pairs,
+            int8,
+            &self.budget,
+        )
     }
 
     fn save(&self, out: &Self::Output) -> Option<Vec<u8>> {
@@ -845,9 +786,7 @@ impl<'p> ResolvePlan<'p> {
     /// Runs Block → Score (fused) → Link for this `(k, threshold)` at the
     /// pipeline's configured
     /// [`score_precision`](crate::pipeline::PipelineConfig::score_precision),
-    /// reusing every artifact an earlier run of this plan produced. A
-    /// fine-tuned (unfrozen) encoder takes the staged
-    /// Block → Encode → Score → Link path instead.
+    /// reusing every artifact an earlier run of this plan produced.
     ///
     /// # Errors
     /// Stage validation errors, or [`CoreError::Io`] from injected
@@ -919,59 +858,22 @@ impl<'p> ResolvePlan<'p> {
                 self.blocks.insert(k, candidates.clone());
             }
             let pairs: Vec<(usize, usize)> = candidates.iter().map(|c| (c.left, c.right)).collect();
-            let probs = if self.pipeline.matcher.encoder_frozen() {
-                let scored = self.executor.run_retrying(
-                    &mut FusedScoreStage {
-                        pipeline: self.pipeline,
-                        precision,
-                        budget: self.executor.budget().clone(),
-                    },
-                    pairs.clone(),
-                    fingerprint,
-                );
-                match scored {
-                    Ok(p) => p,
-                    // Int8-lane ladder: a transiently failing quantized
-                    // Score retries (above) and then degrades to the f32
-                    // lane rather than failing the resolution. Fatal
-                    // errors (bad input, cancellation, deadline) are not
-                    // masked.
-                    Err(e) if precision == ScorePrecision::Int8 && e.retryable() => {
-                        self.executor.note_degrade(
-                            "degrade.score.f32_fallback",
-                            format!("int8 score lane failed ({e}); retrying on the f32 lane"),
-                        );
-                        precision = ScorePrecision::F32;
-                        fingerprint = self.fingerprint(k, precision);
-                        self.executor.run_retrying(
-                            &mut FusedScoreStage {
-                                pipeline: self.pipeline,
-                                precision,
-                                budget: self.executor.budget().clone(),
-                            },
-                            pairs,
-                            fingerprint,
-                        )?
-                    }
-                    Err(e) => return Err(e),
+            let probs = match self.score(pairs.clone(), precision, fingerprint) {
+                Ok(p) => p,
+                // Int8-lane ladder: a transiently failing quantized Score
+                // retries (inside `score`) and then degrades to the f32
+                // lane rather than failing the resolution. Fatal errors
+                // (bad input, cancellation, deadline) are not masked.
+                Err(e) if precision == ScorePrecision::Int8 && e.retryable() => {
+                    self.executor.note_degrade(
+                        "degrade.score.f32_fallback",
+                        format!("int8 score lane failed ({e}); retrying on the f32 lane"),
+                    );
+                    precision = ScorePrecision::F32;
+                    fingerprint = self.fingerprint(k, precision);
+                    self.score(pairs, precision, fingerprint)?
                 }
-            } else {
-                let features = self.executor.run_retrying(
-                    &mut EncodeStage {
-                        pipeline: self.pipeline,
-                    },
-                    pairs,
-                    fingerprint,
-                )?;
-                // PairFeatures is not Clone; Score on the staged path is
-                // pure compute over it, so a retry could not help anyway.
-                self.executor.run(
-                    &mut ScoreStage {
-                        pipeline: self.pipeline,
-                    },
-                    features,
-                    fingerprint,
-                )?
+                Err(e) => return Err(e),
             };
             self.scored.insert((k, precision), probs.clone());
             (candidates, probs)
@@ -999,6 +901,25 @@ impl<'p> ResolvePlan<'p> {
         self.scored.insert((k, precision), probs);
     }
 
+    /// One fused Score run over `pairs` at `precision`, under the plan's
+    /// retry policy, stamped with `fingerprint`.
+    fn score(
+        &self,
+        pairs: Vec<(usize, usize)>,
+        precision: ScorePrecision,
+        fingerprint: u64,
+    ) -> Result<Vec<f32>, CoreError> {
+        self.executor.run_retrying(
+            &mut FusedScoreStage {
+                pipeline: self.pipeline,
+                precision,
+                budget: self.executor.budget().clone(),
+            },
+            pairs,
+            fingerprint,
+        )
+    }
+
     /// Runs the full dataflow through Cluster: resolved entity clusters
     /// at this `(k, threshold)`.
     ///
@@ -1022,11 +943,6 @@ impl<'p> ResolvePlan<'p> {
             links,
             fingerprint,
         )
-    }
-
-    /// The pipeline this plan resolves over.
-    pub fn pipeline(&self) -> &'p Pipeline {
-        self.pipeline
     }
 }
 

@@ -135,9 +135,9 @@ impl LatentTable {
     }
 }
 
-/// Element count above which [`distance_features_into`] shards output
-/// rows across the worker pool (rows are independent, so parallel
-/// results are bit-identical to serial).
+/// Element count above which [`distance_features`] shards output rows
+/// across the worker pool (rows are independent, so parallel results are
+/// bit-identical to serial).
 const PAR_ELEM_CUTOFF: usize = 1 << 17;
 
 /// Minimum output rows per shard for parallel feature construction.
@@ -147,9 +147,13 @@ const MIN_ROWS_PER_SHARD: usize = 8;
 /// from two latent caches: `n x (arity · latent_dim)`, one attribute
 /// block per [`DistanceKind`] distance vector.
 ///
-/// The arithmetic mirrors the matcher's tape ops term for term, so the
-/// result is bit-identical to running the frozen encoder inside
-/// `SiameseMatcher` on the pairs' IR rows.
+/// Each output row is one fused pass over the cached `(μ, σ)` rows via
+/// the [`vaer_linalg::distance_row`] SIMD kernels, which preserve the
+/// exact per-element operation sequence of the historical matrix-op
+/// construction (difference, square, halved-sum-plus-epsilon, divide) —
+/// so the result is bit-identical to running the frozen encoder inside
+/// `SiameseMatcher` on the pairs' IR rows, per element, at any thread
+/// count and on every dispatch path.
 ///
 /// # Panics
 /// Panics when the caches disagree on arity or a pair indexes past
@@ -160,41 +164,11 @@ pub fn distance_features(
     b: &LatentTable,
     pairs: &[(usize, usize)],
 ) -> Matrix {
-    let mut out = Matrix::zeros(pairs.len(), a.arity * a.latent_dim());
-    distance_features_into(kind, a, b, pairs, &mut out);
-    out
-}
-
-/// [`distance_features`] into a caller-provided buffer — the allocation-
-/// free form the fused Score stage runs over candidate chunks.
-///
-/// Each output row is one fused pass over the cached `(μ, σ)` rows via
-/// the [`vaer_linalg::distance_row`] SIMD kernels, which preserve the
-/// exact per-element operation sequence of the historical matrix-op
-/// construction (difference, square, halved-sum-plus-epsilon, divide) —
-/// so this path is bit-identical to the tape arithmetic, per element,
-/// at any thread count and on every dispatch path.
-///
-/// # Panics
-/// Panics when the caches disagree on arity, `out` is not
-/// `pairs.len() x (arity · latent_dim)`, or a pair indexes past either
-/// cache.
-pub fn distance_features_into(
-    kind: DistanceKind,
-    a: &LatentTable,
-    b: &LatentTable,
-    pairs: &[(usize, usize)],
-    out: &mut Matrix,
-) {
     assert_eq!(a.arity, b.arity, "tables must share arity");
     let arity = a.arity;
     let latent = a.latent_dim();
     let width = arity * latent;
-    assert_eq!(
-        out.shape(),
-        (pairs.len(), width),
-        "distance feature output shape mismatch"
-    );
+    let mut out = Matrix::zeros(pairs.len(), width);
     // Same cache-read accounting as the attr_rows gather it replaces:
     // two tables x arity attributes x pairs.len() tuples.
     crate::obs::handles()
@@ -236,6 +210,7 @@ pub fn distance_features_into(
             }
         },
     );
+    out
 }
 
 #[cfg(test)]

@@ -12,10 +12,11 @@
 
 use crate::entity::IrTable;
 use crate::latent::{self, LatentTable};
+use crate::quant::QuantizedMatcher;
 use crate::repr::ReprModel;
 use crate::resilience::RunBudget;
 use crate::CoreError;
-use vaer_data::PairSet;
+use vaer_data::{LabeledPair, PairSet};
 use vaer_linalg::Matrix;
 use vaer_nn::schedule::minibatches;
 use vaer_nn::{
@@ -64,14 +65,12 @@ pub struct MatcherConfig {
     pub weight_decay: f32,
     /// Hidden width of the classification MLP.
     pub mlp_hidden: usize,
-    /// Whether encoder weights are fine-tuned (true) or frozen at their
-    /// transferred values (ablation knob; the paper fine-tunes).
-    pub fine_tune_encoder: bool,
-    /// Minimum number of labelled pairs before fine-tuning kicks in.
-    /// Fine-tuning the encoder on a handful of pairs memorises them (the
-    /// train/test gap observed on small noisy domains); below this
-    /// threshold the encoder stays frozen even when `fine_tune_encoder`
-    /// is set.
+    /// Minimum number of labelled pairs before the encoder fine-tunes
+    /// (the paper fine-tunes; below this threshold it stays frozen at its
+    /// transferred values). Fine-tuning the encoder on a handful of pairs
+    /// memorises them (the train/test gap observed on small noisy
+    /// domains). `0` always fine-tunes; `usize::MAX` never does (the
+    /// frozen-encoder ablation).
     pub fine_tune_min_pairs: usize,
     /// Which Gaussian components the Distance layer compares.
     pub distance: DistanceKind,
@@ -89,7 +88,6 @@ impl Default for MatcherConfig {
             learning_rate: 8e-3,
             weight_decay: 1e-3,
             mlp_hidden: 32,
-            fine_tune_encoder: true,
             fine_tune_min_pairs: 400,
             distance: DistanceKind::W2,
             seed: 0x3A7C,
@@ -129,23 +127,10 @@ impl PairExamples {
     /// either table — callers own the pair set, so both are programming
     /// errors, not recoverable input conditions.
     pub fn build(a: &IrTable, b: &IrTable, pairs: &PairSet) -> Self {
-        assert_eq!(a.arity, b.arity, "tables must share arity");
-        let lefts: Vec<usize> = pairs.pairs.iter().map(|p| p.left).collect();
-        let rights: Vec<usize> = pairs.pairs.iter().map(|p| p.right).collect();
-        let left = (0..a.arity).map(|attr| a.attr_rows(&lefts, attr)).collect();
-        let right = (0..b.arity)
-            .map(|attr| b.attr_rows(&rights, attr))
-            .collect();
-        let labels = pairs
-            .pairs
-            .iter()
-            .map(|p| if p.is_match { 1.0 } else { 0.0 })
-            .collect();
-        Self {
-            left,
-            right,
-            labels,
-        }
+        let idx: Vec<(usize, usize)> = pairs.pairs.iter().map(|p| (p.left, p.right)).collect();
+        let mut examples = Self::build_unlabeled(a, b, &idx);
+        examples.labels = pairs.pairs.iter().map(label_of).collect();
+        examples
     }
 
     /// From explicit index pairs (used by the AL loop on unlabeled pools).
@@ -192,6 +177,24 @@ impl PairExamples {
         }
     }
 }
+
+/// Per-pair matcher inputs in the form the encoder lane needs:
+/// Distance-layer features read from the latent caches while the
+/// encoder is frozen, raw IR pair examples once it fine-tunes. Built by
+/// [`SiameseMatcher`], the one owner of that choice; the executor's
+/// Encode stage hands them to its Score stage.
+pub enum PairFeatures {
+    /// Distance-layer features from the frozen-encoder latent caches.
+    Cached(Matrix),
+    /// Raw IR pair examples for a fine-tuned encoder.
+    Raw(PairExamples),
+}
+
+/// Candidate pairs the frozen lane scores per block: bounds the
+/// transient feature matrix at `SCORE_BLOCK x (arity·latent)` however
+/// many candidates blocking produced. Scoring is row-independent, so the
+/// chunked result is bit-identical to a single full-matrix pass.
+pub const SCORE_BLOCK: usize = 512;
 
 /// The trained Siamese matching model (the `γ` of the paper).
 #[derive(Debug, Clone)]
@@ -302,7 +305,9 @@ impl SiameseMatcher {
     ///
     /// The encoder parameters are *copied* from `repr` (the representation
     /// model itself stays frozen, as in Fig. 1's decoupling) and then
-    /// fine-tuned together with the fresh MLP.
+    /// fine-tuned together with the fresh MLP once `examples` reaches
+    /// [`MatcherConfig::fine_tune_min_pairs`]; below that only the MLP
+    /// trains.
     ///
     /// # Errors
     /// [`CoreError::InsufficientData`] when `examples` is empty or
@@ -314,18 +319,25 @@ impl SiameseMatcher {
     ) -> Result<Self, CoreError> {
         check_labels(&examples.labels)?;
         let (mut matcher, mut rng) = Self::init(repr, examples.arity(), examples.len(), config);
-        matcher.fit(examples, &mut rng, &RunBudget::unlimited())?;
+        let features = if matcher.frozen_encoder {
+            PairFeatures::Cached(matcher.distance_features(examples))
+        } else {
+            PairFeatures::Raw(examples.clone())
+        };
+        matcher.fit(
+            &features,
+            &examples.labels,
+            &mut rng,
+            &RunBudget::unlimited(),
+        )?;
         Ok(matcher)
     }
 
     /// Trains on `labelled` `(a_row, b_row)` pairs of two tables, under
-    /// `budget` (probed every epoch, divergence-guard retries included).
-    ///
-    /// The lane is picked here: while [`frozen_for`](Self::frozen_for)
-    /// holds the encoder never moves, so the Distance-layer features are
-    /// read from the latent caches `lats` and only the MLP trains;
-    /// otherwise the encoder fine-tunes over the raw IRs `irs`. Both lanes
-    /// produce the matcher [`train`](Self::train) would on the same pairs.
+    /// `budget` (probed every epoch, divergence-guard retries included),
+    /// on the features [`pair_features`](Self::pair_features) builds for
+    /// the lane the labelled-set size selects. Both lanes produce the
+    /// matcher [`train`](Self::train) would on the same pairs.
     ///
     /// # Errors
     /// [`CoreError::InsufficientData`] on empty/single-class labels;
@@ -339,55 +351,121 @@ impl SiameseMatcher {
         config: &MatcherConfig,
         budget: &RunBudget,
     ) -> Result<Self, CoreError> {
-        let labels: Vec<f32> = labelled
-            .pairs
-            .iter()
-            .map(|p| if p.is_match { 1.0 } else { 0.0 })
-            .collect();
+        let labels: Vec<f32> = labelled.pairs.iter().map(label_of).collect();
         check_labels(&labels)?;
-        if Self::frozen_for(config, labels.len()) {
-            let pairs: Vec<(usize, usize)> =
-                labelled.pairs.iter().map(|p| (p.left, p.right)).collect();
-            let features = latent::distance_features(config.distance, lats.0, lats.1, &pairs);
-            let _span = vaer_obs::span("matcher.fit");
-            let (mut matcher, mut rng) = Self::init(repr, irs.0.arity, labels.len(), config);
-            matcher.fit_mlp_on_features(&features, &labels, &mut rng, budget)?;
-            Ok(matcher)
-        } else {
-            let examples = PairExamples::build(irs.0, irs.1, labelled);
-            let (mut matcher, mut rng) = Self::init(repr, irs.0.arity, labels.len(), config);
-            matcher.fit(&examples, &mut rng, budget)?;
-            Ok(matcher)
-        }
+        let pairs: Vec<(usize, usize)> = labelled.pairs.iter().map(|p| (p.left, p.right)).collect();
+        let (mut matcher, mut rng) = Self::init(repr, irs.0.arity, labels.len(), config);
+        let features = matcher.pair_features(irs, lats, &pairs);
+        matcher.fit(&features, &labels, &mut rng, budget)?;
+        Ok(matcher)
     }
 
-    /// Duplicate probabilities for `(a_row, b_row)` pairs of two tables:
-    /// from the latent caches `lats` while this matcher's encoder is
-    /// frozen, through the fine-tuned encoder over the raw IRs `irs`
-    /// otherwise.
-    pub(crate) fn score_pairs(
+    /// The lane decision: matcher inputs for `(a_row, b_row)` pairs of two
+    /// tables — Distance-layer features from the latent caches `lats`
+    /// while this matcher's encoder is frozen, raw pair examples over the
+    /// IRs `irs` once it fine-tuned.
+    pub(crate) fn pair_features(
         &self,
         irs: (&IrTable, &IrTable),
         lats: (&LatentTable, &LatentTable),
         pairs: &[(usize, usize)],
-    ) -> Vec<f32> {
+    ) -> PairFeatures {
         if self.frozen_encoder {
-            self.predict_features(&latent::distance_features(
+            PairFeatures::Cached(latent::distance_features(
                 self.config.distance,
                 lats.0,
                 lats.1,
                 pairs,
             ))
         } else {
-            self.predict(&PairExamples::build_unlabeled(irs.0, irs.1, pairs))
+            PairFeatures::Raw(PairExamples::build_unlabeled(irs.0, irs.1, pairs))
         }
+    }
+
+    /// Duplicate probabilities for features from
+    /// [`pair_features`](Self::pair_features): cached features score
+    /// through `int8` when given, else through the f32 MLP; raw examples
+    /// run the fine-tuned encoder (a fine-tuned matcher has no int8 twin,
+    /// see [`int8_twin`](Self::int8_twin)).
+    pub(crate) fn score_features(
+        &self,
+        features: &PairFeatures,
+        int8: Option<&QuantizedMatcher>,
+    ) -> Vec<f32> {
+        match (features, int8) {
+            (PairFeatures::Cached(m), Some(q)) => q.predict_features(m),
+            (PairFeatures::Cached(m), None) => self.predict_features(m),
+            (PairFeatures::Raw(ex), _) => self.predict(ex),
+        }
+    }
+
+    /// Duplicate probabilities for `(a_row, b_row)` pairs of two tables —
+    /// the one scoring body behind resolution, `Pipeline::predict` and
+    /// the active learner's pool scoring. `budget` is probed once per
+    /// block, so cancellation and deadlines surface mid-Score.
+    ///
+    /// The frozen lane scores [`SCORE_BLOCK`] pairs per block, optionally
+    /// through the `int8` twin. The fine-tuned lane scores every pair in
+    /// one block: on a 2-vCPU VM, 512-pair blocks on the tape cut the
+    /// supervised benchmark's peak RSS from ~112 to ~43 MiB but raised
+    /// its resolve p50 by ~13%, because each block restarts the shard
+    /// workers of [`predict`](Self::predict).
+    ///
+    /// # Errors
+    /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
+    /// budget trips.
+    pub(crate) fn score_pairs(
+        &self,
+        irs: (&IrTable, &IrTable),
+        lats: (&LatentTable, &LatentTable),
+        pairs: &[(usize, usize)],
+        int8: Option<&QuantizedMatcher>,
+        budget: &RunBudget,
+    ) -> Result<Vec<f32>, CoreError> {
+        let block = if self.frozen_encoder {
+            SCORE_BLOCK
+        } else {
+            pairs.len().max(1)
+        };
+        let mut probs = Vec::with_capacity(pairs.len());
+        for chunk in pairs.chunks(block) {
+            budget.probe("exec.score")?;
+            let features = self.pair_features(irs, lats, chunk);
+            probs.extend(self.score_features(&features, int8));
+        }
+        Ok(probs)
+    }
+
+    /// The int8 inference twin, calibrated on the cached features of the
+    /// `calibration` pairs (a frozen fit passes its own training pairs:
+    /// deterministic, and drawn from the distance-feature distribution
+    /// resolution will score). `None` once the encoder fine-tuned: the
+    /// twin reads the latent caches, which fine-tuning makes stale.
+    ///
+    /// # Errors
+    /// Same as [`quantized`](Self::quantized) on the frozen lane.
+    pub(crate) fn int8_twin(
+        &self,
+        lats: (&LatentTable, &LatentTable),
+        calibration: &PairSet,
+    ) -> Result<Option<QuantizedMatcher>, CoreError> {
+        if !self.frozen_encoder {
+            return Ok(None);
+        }
+        let pairs: Vec<(usize, usize)> = calibration
+            .pairs
+            .iter()
+            .map(|p| (p.left, p.right))
+            .collect();
+        let features = latent::distance_features(self.config.distance, lats.0, lats.1, &pairs);
+        self.quantized(&features).map(Some)
     }
 
     /// Whether a matcher trained with `config` on `n_pairs` labelled
     /// pairs keeps the encoder frozen — the predicate that gates every
     /// latent-cache fast path.
     fn frozen_for(config: &MatcherConfig, n_pairs: usize) -> bool {
-        !config.fine_tune_encoder || n_pairs < config.fine_tune_min_pairs
+        n_pairs < config.fine_tune_min_pairs
     }
 
     /// Whether this matcher's encoder is still the representation
@@ -433,26 +511,27 @@ impl SiameseMatcher {
             .max(min_steps.div_ceil(batches_per_epoch))
     }
 
+    /// The guarded epoch loop of both lanes, over `labels` and the
+    /// matching `features` (a `Raw` set's own label column is ignored).
+    /// On cached features the encoder is fixed, so only the MLP trains
+    /// on minibatch cross-entropy — exactly the cost profile Fig. 1's
+    /// decoupling promises; on raw examples the shared encoder heads
+    /// fine-tune under the full Eq. 4 loss. Every epoch probes `budget`
+    /// (divergence-guard retries included) and snapshots the state a
+    /// rollback restores.
     fn fit(
         &mut self,
-        examples: &PairExamples,
+        features: &PairFeatures,
+        labels: &[f32],
         rng: &mut NnRng,
         budget: &RunBudget,
     ) -> Result<(), CoreError> {
         let _span = vaer_obs::span("matcher.fit");
-        if self.frozen_encoder {
-            // The encoder is fixed, so the Distance-layer features are
-            // constants: compute them once and train only the MLP. This is
-            // exactly the cost profile Fig. 1's decoupling promises — the
-            // supervised stage optimises a small classifier over a frozen
-            // representation space.
-            let features = self.distance_features(examples);
-            return self.fit_mlp_on_features(&features, &examples.labels, rng, budget);
-        }
         let mut adam =
             Adam::with_rate(self.config.learning_rate).with_weight_decay(self.config.weight_decay);
-        let epochs = self.training_epochs(examples.len());
+        let epochs = self.training_epochs(labels.len());
         let stride = epoch_event_stride(epochs);
+        let labels = Matrix::from_vec(labels.len(), 1, labels.to_vec());
         let mut tapes = GraphPool::new();
         let mut epoch = 0usize;
         let mut rollbacks = 0u32;
@@ -471,31 +550,32 @@ impl SiameseMatcher {
             let mut epoch_con = 0.0f32;
             let mut batches = 0usize;
             let mut diverged: Option<String> = None;
-            for batch in minibatches(examples.len(), self.config.batch_size, rng) {
-                let sub = examples.select(&batch);
-                let batch_len = sub.len();
-                // Eq. 4 decomposition, merged with the same shard-size
-                // weights sharded_step applies to the loss. Only read off
-                // the tape when telemetry is on.
-                let parts = std::sync::Mutex::new((0.0f64, 0.0f64));
-                let step = sharded_step_pooled(&mut tapes, batch_len, |g, rows| {
-                    let (loss, bce, contrastive) = self.loss_graph(g, &sub, rows.start, rows.end);
-                    if vaer_obs::enabled() {
-                        let w = f64::from(rows.len() as f32 / batch_len.max(1) as f32);
-                        let mut p = parts.lock().expect("loss parts poisoned"); // vaer-lint: allow(panic) -- poisoning implies a worker already panicked; that panic propagates at join
-                        p.0 += w * f64::from(g.value(bce).get(0, 0));
-                        p.1 += w * f64::from(g.value(contrastive).get(0, 0));
+            for batch in minibatches(labels.rows(), self.config.batch_size, rng) {
+                let y = labels.select_rows(&batch);
+                let (step, bce, contrastive) = match features {
+                    PairFeatures::Cached(x) => {
+                        let x = x.select_rows(&batch);
+                        let step = sharded_step_pooled(&mut tapes, batch.len(), |g, rows| {
+                            let xt = g.input_rows(&x, rows.start, rows.end);
+                            let logits = self.mlp.forward(g, &self.store, xt);
+                            g.bce_with_logits_rows(logits, &y, rows.start, rows.end)
+                        });
+                        // The whole loss is cross-entropy: the contrastive
+                        // term has no trainable inputs here.
+                        let bce = step.loss;
+                        (step, bce, 0.0)
                     }
-                    loss
-                });
-                let (bce_part, con_part) = parts.into_inner().expect("loss parts poisoned"); // vaer-lint: allow(panic) -- poisoning implies a worker already panicked; that panic propagates at join
+                    PairFeatures::Raw(examples) => {
+                        self.tape_step(&mut tapes, &examples.select(&batch), &y)
+                    }
+                };
                 if let Some(why) = batch_divergence(epoch, step.loss, &step.grads) {
                     diverged = Some(why);
                     break;
                 }
                 epoch_loss += step.loss;
-                epoch_bce += bce_part as f32;
-                epoch_con += con_part as f32;
+                epoch_bce += bce;
+                epoch_con += contrastive;
                 batches += 1;
                 adam.step(&mut self.store, &step.grads);
             }
@@ -521,7 +601,7 @@ impl SiameseMatcher {
                         ("loss", (epoch_loss / denom).into()),
                         ("bce", (epoch_bce / denom).into()),
                         ("contrastive", (epoch_con / denom).into()),
-                        ("fine_tune", true.into()),
+                        ("fine_tune", (!self.frozen_encoder).into()),
                     ],
                 );
             }
@@ -530,85 +610,30 @@ impl SiameseMatcher {
         Ok(())
     }
 
-    /// The frozen-encoder training loop: minibatch BCE on the small MLP
-    /// over precomputed Distance-layer features. Shared by [`fit`] (which
-    /// computes the features from IRs) and [`Self::train_labelled`] (which
-    /// reads them from the latent caches) so both produce bit-identical
-    /// matchers.
-    fn fit_mlp_on_features(
-        &mut self,
-        features: &Matrix,
-        labels: &[f32],
-        rng: &mut NnRng,
-        budget: &RunBudget,
-    ) -> Result<(), CoreError> {
-        let mut adam =
-            Adam::with_rate(self.config.learning_rate).with_weight_decay(self.config.weight_decay);
-        let epochs = self.training_epochs(labels.len());
-        let stride = epoch_event_stride(epochs);
-        let labels = Matrix::from_vec(labels.len(), 1, labels.to_vec());
-        let mut tapes = GraphPool::new();
-        let mut epoch = 0usize;
-        let mut rollbacks = 0u32;
-        while epoch < epochs {
-            // Same probe contract as [`fit`]: every epoch, including
-            // divergence-guard retries.
-            budget.probe("matcher.fit")?;
-            let guard = MatcherGuard {
-                store: self.store.clone(),
-                adam: adam.clone(),
-                rng: rng.clone(),
-            };
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            let mut diverged: Option<String> = None;
-            for batch in minibatches(labels.rows(), self.config.batch_size, rng) {
-                let x = features.select_rows(&batch);
-                let y = labels.select_rows(&batch);
-                let step = sharded_step_pooled(&mut tapes, batch.len(), |g, rows| {
-                    let xt = g.input_rows(&x, rows.start, rows.end);
-                    let logits = self.mlp.forward(g, &self.store, xt);
-                    g.bce_with_logits_rows(logits, &y, rows.start, rows.end)
-                });
-                if let Some(why) = batch_divergence(epoch, step.loss, &step.grads) {
-                    diverged = Some(why);
-                    break;
-                }
-                epoch_loss += step.loss;
-                batches += 1;
-                adam.step(&mut self.store, &step.grads);
+    /// One fine-tuning step over `batch` with targets `y`: the sharded
+    /// Eq. 4 gradient plus its `(bce, contrastive)` decomposition, merged
+    /// with the same shard-size weights the step applies to the loss and
+    /// read off the tape only when telemetry is on.
+    fn tape_step(
+        &self,
+        tapes: &mut GraphPool,
+        batch: &PairExamples,
+        y: &Matrix,
+    ) -> (vaer_nn::ShardedStep, f32, f32) {
+        let batch_len = batch.len();
+        let parts = std::sync::Mutex::new((0.0f64, 0.0f64));
+        let step = sharded_step_pooled(tapes, batch_len, |g, rows| {
+            let (loss, bce, contrastive) = self.loss_graph(g, batch, y, rows.start, rows.end);
+            if vaer_obs::enabled() {
+                let w = f64::from(rows.len() as f32 / batch_len.max(1) as f32);
+                let mut p = parts.lock().expect("loss parts poisoned"); // vaer-lint: allow(panic) -- poisoning implies a worker already panicked; that panic propagates at join
+                p.0 += w * f64::from(g.value(bce).get(0, 0));
+                p.1 += w * f64::from(g.value(contrastive).get(0, 0));
             }
-            if let Some(why) = diverged {
-                rollbacks += 1;
-                roll_back(
-                    &mut self.store,
-                    &mut adam,
-                    rng,
-                    guard,
-                    epoch,
-                    rollbacks,
-                    &why,
-                )?;
-                continue;
-            }
-            if vaer_obs::enabled() && (epoch.is_multiple_of(stride) || epoch + 1 == epochs) {
-                // Frozen path: the whole loss is cross-entropy (the
-                // contrastive term has no trainable inputs here).
-                let mean = epoch_loss / batches.max(1) as f32;
-                vaer_obs::event(
-                    "matcher.epoch",
-                    &[
-                        ("epoch", epoch.into()),
-                        ("loss", mean.into()),
-                        ("bce", mean.into()),
-                        ("contrastive", 0.0f32.into()),
-                        ("fine_tune", false.into()),
-                    ],
-                );
-            }
-            epoch += 1;
-        }
-        Ok(())
+            loss
+        });
+        let (bce, contrastive) = parts.into_inner().expect("loss parts poisoned"); // vaer-lint: allow(panic) -- poisoning implies a worker already panicked; that panic propagates at join
+        (step, bce as f32, contrastive as f32)
     }
 
     /// Concatenated Distance-layer features for a batch, computed outside
@@ -655,20 +680,20 @@ impl SiameseMatcher {
         }
     }
 
-    /// Builds the Eq. 4 loss for rows `start..end` of `batch` on a tape;
-    /// returns `(loss, bce, contrastive)` so trainers can report the
-    /// decomposition (forward values are eager, so the components are
-    /// free to read once built).
+    /// Builds the Eq. 4 loss for rows `start..end` of `batch` against
+    /// targets `y` on a tape; returns `(loss, bce, contrastive)` so the
+    /// trainer can report the decomposition (forward values are eager, so
+    /// the components are free to read once built).
     fn loss_graph(
         &self,
         g: &mut Graph,
         batch: &PairExamples,
+        y: &Matrix,
         start: usize,
         end: usize,
     ) -> (vaer_nn::Tensor, vaer_nn::Tensor, vaer_nn::Tensor) {
         let n = end - start;
-        let labels = Matrix::from_vec(n, 1, batch.labels[start..end].to_vec());
-        let x = g.input_ref(&labels);
+        let x = g.input_rows(y, start, end);
         let ones = g.input_filled(n, 1, 1.0);
         let one_minus_x = g.sub(ones, x);
         let mut dist_parts = Vec::with_capacity(self.arity);
@@ -690,7 +715,7 @@ impl SiameseMatcher {
         }
         let dist = g.concat_cols(&dist_parts); // n x (m·k)
         let logits = self.mlp.forward(g, &self.store, dist);
-        let bce = g.bce_with_logits_rows(logits, &labels, 0, n);
+        let bce = g.bce_with_logits_rows(logits, y, start, end);
         let mut contrastive = contrastive_terms[0];
         for &t in &contrastive_terms[1..] {
             contrastive = g.add(contrastive, t);
@@ -917,6 +942,15 @@ fn epoch_event_stride(epochs: usize) -> usize {
     epochs.div_ceil(50).max(1)
 }
 
+/// A labelled pair's training target (1.0 = duplicate).
+fn label_of(pair: &LabeledPair) -> f32 {
+    if pair.is_match {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 /// Validates that a label vector is non-empty and two-class.
 fn check_labels(labels: &[f32]) -> Result<(), CoreError> {
     if labels.is_empty() {
@@ -936,7 +970,6 @@ fn check_labels(labels: &[f32]) -> Result<(), CoreError> {
 mod tests {
     use super::*;
     use crate::repr::ReprConfig;
-    use vaer_data::LabeledPair;
     use vaer_linalg::XorShiftRng;
 
     /// Builds a toy world: tuples are 2-attribute entities whose IRs are
@@ -1038,7 +1071,7 @@ mod tests {
         let (repr, a, b, train, _) = toy_world(4);
         let examples = PairExamples::build(&a, &b, &train);
         let cfg = MatcherConfig {
-            fine_tune_encoder: false,
+            fine_tune_min_pairs: usize::MAX,
             epochs: 4,
             ..MatcherConfig::fast()
         };
@@ -1051,7 +1084,6 @@ mod tests {
         assert_eq!(orig.get(a_id), tuned.get(b_id), "frozen encoder changed");
         // And fine-tuning does change them.
         let cfg2 = MatcherConfig {
-            fine_tune_encoder: true,
             fine_tune_min_pairs: 0,
             epochs: 4,
             ..MatcherConfig::fast()
@@ -1118,7 +1150,7 @@ mod tests {
             &repr,
             &examples,
             &MatcherConfig {
-                fine_tune_encoder: false,
+                fine_tune_min_pairs: usize::MAX,
                 ..MatcherConfig::fast()
             },
         )

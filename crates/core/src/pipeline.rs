@@ -3,7 +3,7 @@
 //! blocking/representation reports of §VI-B.
 
 use crate::entity::{EntityRepr, IrTable};
-use crate::evaluation::{topk_eval_irs, topk_eval_vae};
+use crate::evaluation::topk_eval_vae;
 use crate::exec::{self, ResolvePlan};
 use crate::latent::{self, LatentTable};
 use crate::matcher::{MatcherConfig, PairExamples, SiameseMatcher};
@@ -327,24 +327,10 @@ impl Pipeline {
             &matcher_config,
             budget,
         )?;
-        // A frozen encoder's training features double as the int8
-        // calibration set: deterministic, and drawn from the same
-        // distance-feature distribution resolution will score. Fine-tuning
-        // invalidates the latent caches the quantized lane reads from, so
-        // no int8 twin is built (Int8 requests fall back to f32 at
-        // resolution time).
-        let quantized = if matcher.encoder_frozen() {
-            let pairs: Vec<(usize, usize)> = train_pairs
-                .pairs
-                .iter()
-                .map(|p| (p.left, p.right))
-                .collect();
-            let features =
-                latent::distance_features(matcher_config.distance, &lat_a, &lat_b, &pairs);
-            Some(matcher.quantized(&features)?)
-        } else {
-            None
-        };
+        // A frozen encoder's training pairs double as the int8 calibration
+        // set; a fine-tuned one gets no twin (Int8 requests fall back to
+        // f32 at resolution time).
+        let quantized = matcher.int8_twin((&lat_a, &lat_b), &train_pairs)?;
         let match_secs = t2.elapsed().as_secs_f64();
         drop(stage);
         vaer_obs::event(
@@ -382,24 +368,22 @@ impl Pipeline {
     }
 
     /// Duplicate probabilities for labelled pairs, via the executor's
-    /// Encode → Score stages. While the matcher's encoder is frozen (the
-    /// common case) the features come from the latent caches rather than
-    /// re-running the encoder per call.
+    /// fused Score stage at f32 — the scoring body resolution runs. While
+    /// the matcher's encoder is frozen (the common case) the features come
+    /// from the latent caches rather than re-running the encoder per call.
     ///
     /// # Errors
     /// [`CoreError::Io`] when a `vaer-fault` failpoint injects an error
-    /// into the Encode/Score stages.
+    /// into the Score stage.
     pub fn predict(&self, pairs: &PairSet) -> Result<Vec<f32>, CoreError> {
         let idx: Vec<(usize, usize)> = pairs.pairs.iter().map(|p| (p.left, p.right)).collect();
-        let executor = exec::Executor::new();
-        let features = executor.run(
-            &mut exec::EncodeStage { pipeline: self },
+        exec::Executor::new().run(
+            &mut exec::FusedScoreStage {
+                pipeline: self,
+                precision: ScorePrecision::F32,
+                budget: RunBudget::unlimited(),
+            },
             idx,
-            self.config.seed,
-        )?;
-        executor.run(
-            &mut exec::ScoreStage { pipeline: self },
-            features,
             self.config.seed,
         )
     }
@@ -414,11 +398,6 @@ impl Pipeline {
     /// representations.
     pub fn representation_report(&self, pairs: &PairSet, k: usize) -> TopKReport {
         topk_eval_vae(&self.reprs_a, &self.reprs_b, pairs, k)
-    }
-
-    /// Table IV left-hand columns: top-K retrieval quality of the raw IRs.
-    pub fn ir_report(&self, pairs: &PairSet, k: usize) -> TopKReport {
-        topk_eval_irs(&self.irs_a, &self.irs_b, pairs, k)
     }
 
     /// Recall@K over the dataset's full duplicate ground truth (Fig. 4 /
@@ -626,11 +605,6 @@ impl Pipeline {
         (&self.irs_a, &self.irs_b)
     }
 
-    /// The entity representations (`(table_a, table_b)`).
-    pub fn entity_reprs(&self) -> (&[EntityRepr], &[EntityRepr]) {
-        (&self.reprs_a, &self.reprs_b)
-    }
-
     /// The cached latent encodings (`(table_a, table_b)`) — valid for
     /// [`repr`](Self::repr) until a transferred model replaces it.
     pub fn latents(&self) -> (&LatentTable, &LatentTable) {
@@ -711,7 +685,7 @@ mod tests {
         let p = Pipeline::fit(&ds, &fast_config(3)).unwrap();
         let vae = p.representation_report(&ds.test_pairs, 10);
         assert!(vae.recall > 0.5, "VAE recall {}", vae.recall);
-        let ir = p.ir_report(&ds.test_pairs, 10);
+        let ir = crate::evaluation::topk_eval_irs(&p.irs_a, &p.irs_b, &ds.test_pairs, 10);
         assert!(ir.recall > 0.0);
     }
 

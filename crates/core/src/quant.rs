@@ -142,11 +142,6 @@ impl QuantizedMatcher {
     pub fn latent_dim(&self) -> usize {
         self.latent_dim
     }
-
-    /// Number of quantized dense layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 /// Same stable logistic as the tape's sigmoid op, so the only
@@ -195,7 +190,6 @@ mod tests {
         let layers = [(&w0, &b0), (&w1, &b1)];
         let calib = Matrix::gaussian(64, 6, &mut rng);
         let q = QuantizedMatcher::calibrate(&layers, &calib, 3, 2).unwrap();
-        assert_eq!(q.num_layers(), 2);
         let test = Matrix::gaussian(32, 6, &mut rng);
         let exact = f32_forward(&test, &layers);
         let fast = q.predict_features(&test);

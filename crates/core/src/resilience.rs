@@ -324,14 +324,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Replaces the jitter seed (derive it from the run seed to keep
-    /// whole-run schedules reproducible).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Whether this policy ever retries.
     pub fn retries(&self) -> bool {
         self.max_attempts > 1
@@ -486,13 +478,6 @@ impl ResolutionHealth {
     pub fn add_retries(&mut self, retries: u32) {
         self.retries += retries;
     }
-
-    /// Folds another report into this one (used when a stage-local
-    /// report joins the run-level one).
-    pub fn merge(&mut self, other: &ResolutionHealth) {
-        self.degradations.extend(other.degradations.iter().cloned());
-        self.retries += other.retries;
-    }
 }
 
 #[cfg(test)]
@@ -585,7 +570,7 @@ mod tests {
         }
         assert_ne!(
             p.backoff(1),
-            p.with_seed(8).backoff(1),
+            RetryPolicy { seed: 8, ..p }.backoff(1),
             "different seeds should almost surely jitter differently"
         );
     }
@@ -698,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn health_records_and_merges() {
+    fn health_records_degradations_and_retries() {
         let mut h = ResolutionHealth::default();
         assert!(h.is_clean());
         h.degrade("degrade.score.f32_fallback", "int8 lane failed twice");
@@ -706,9 +691,5 @@ mod tests {
         assert!(!h.is_clean());
         assert!(h.degraded("degrade.score.f32_fallback"));
         assert!(!h.degraded("degrade.plan.rebuild"));
-
-        let mut outer = ResolutionHealth::default();
-        outer.merge(&h);
-        assert_eq!(outer, h);
     }
 }

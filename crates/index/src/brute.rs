@@ -32,16 +32,6 @@ impl BruteForceKnn {
         }
         Self { points, dims }
     }
-
-    /// Dimensionality of the indexed points.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// The indexed points.
-    pub fn points(&self) -> &[Vec<f32>] {
-        &self.points
-    }
 }
 
 impl KnnIndex for BruteForceKnn {

@@ -122,44 +122,6 @@ impl<'a> JoinCache<'a> {
     pub fn contains(&self, k: usize) -> bool {
         self.per_k.contains_key(&k)
     }
-
-    /// Number of distinct `k` values memoised so far.
-    pub fn len(&self) -> usize {
-        self.per_k.len()
-    }
-
-    /// Whether nothing has been memoised yet.
-    pub fn is_empty(&self) -> bool {
-        self.per_k.is_empty()
-    }
-}
-
-/// Self-join over one collection (Algorithm 1, lines 3–10): each point is
-/// paired with its top-`k` neighbours, excluding itself; symmetric
-/// duplicates `(i, j)` / `(j, i)` are merged with `i < j`.
-pub fn self_knn_join(index: &dyn KnnIndex, points: &[Vec<f32>], k: usize) -> Vec<CandidatePair> {
-    let mut out: Vec<CandidatePair> = Vec::with_capacity(points.len() * k);
-    for (qi, q) in points.iter().enumerate() {
-        // k+1 because the query collides with itself at distance 0.
-        for n in index.knn(q, k + 1) {
-            if n.index == qi {
-                continue;
-            }
-            let (a, b) = if qi < n.index {
-                (qi, n.index)
-            } else {
-                (n.index, qi)
-            };
-            out.push(CandidatePair {
-                left: a,
-                right: b,
-                distance: n.distance,
-            });
-        }
-    }
-    out.sort_by_key(|p| (p.left, p.right));
-    out.dedup_by(|a, b| a.left == b.left && a.right == b.right);
-    out
 }
 
 #[cfg(test)]
@@ -178,36 +140,16 @@ mod tests {
     }
 
     #[test]
-    fn self_join_excludes_self_and_dedups() {
-        let points = vec![vec![0.0], vec![0.1], vec![5.0]];
-        let idx = BruteForceKnn::build(points.clone());
-        let pairs = self_knn_join(&idx, &points, 1);
-        // 0↔1 are mutual nearest neighbours → one merged pair; 2's nearest
-        // is 1 → pair (1,2).
-        assert_eq!(pairs.len(), 2);
-        assert_eq!((pairs[0].left, pairs[0].right), (0, 1));
-        assert_eq!((pairs[1].left, pairs[1].right), (1, 2));
-        assert!(pairs.iter().all(|p| p.left < p.right));
-    }
-
-    #[test]
-    fn self_join_empty() {
-        let idx = BruteForceKnn::build(Vec::new());
-        assert!(self_knn_join(&idx, &[], 3).is_empty());
-    }
-
-    #[test]
     fn join_cache_memoises_per_k_and_accepts_seeds() {
         let points = vec![vec![0.0], vec![10.0], vec![20.0]];
         let idx = BruteForceKnn::build(points);
         let queries = vec![vec![1.0], vec![19.0]];
         let mut cache = JoinCache::new(&queries, &idx);
-        assert!(cache.is_empty());
+        assert!(!cache.contains(2));
         let direct = knn_join(&queries, &idx, 2);
         assert_eq!(cache.candidates(2), &direct[..]);
         assert_eq!(cache.candidates(2), &direct[..], "memo changed on reread");
         assert!(cache.contains(2) && !cache.contains(1));
-        assert_eq!(cache.len(), 1);
         // A seeded entry short-circuits the join entirely.
         let fake = vec![CandidatePair {
             left: 7,
@@ -215,8 +157,8 @@ mod tests {
             distance: 0.0,
         }];
         cache.insert(1, fake.clone());
+        assert!(cache.contains(1));
         assert_eq!(cache.candidates(1), &fake[..]);
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -236,14 +178,14 @@ mod tests {
         let mut cache = JoinCache::new(&queries, &idx);
         let mut stop = || true;
         assert!(cache.candidates_probed(1, &mut stop).is_none());
-        assert!(cache.is_empty());
+        assert!(!cache.contains(1));
         // …and a memoised k is served without consulting the probe.
         let mut go = || false;
         assert!(cache.candidates_probed(1, &mut go).is_some());
         assert!(cache.candidates_probed(1, &mut stop).is_some());
         // invalidate() really drops the memo.
         cache.invalidate(1);
-        assert!(cache.is_empty());
+        assert!(!cache.contains(1));
     }
 
     #[test]

@@ -5,16 +5,16 @@
 //! "nearest-neighbour search, e.g., using Locality Sensitive Hashing with
 //! Euclidean distance" — that index lives here ([`E2Lsh`]), together with
 //! an exact [`BruteForceKnn`] used both as a correctness oracle in tests
-//! and as the small-input fallback, plus the [`knn_join`]/[`self_knn_join`]
-//! helpers that produce candidate tuple pairs for blocking (§VI-B) and
-//! active-learning bootstrapping (§V-A).
+//! and as the small-input fallback, plus the [`knn_join`] helpers that
+//! produce candidate tuple pairs for blocking (§VI-B) and active-learning
+//! bootstrapping (§V-A).
 
 mod brute;
 mod join;
 mod lsh;
 
 pub use brute::BruteForceKnn;
-pub use join::{knn_join, self_knn_join, CandidatePair, JoinCache, Neighbor};
+pub use join::{knn_join, CandidatePair, JoinCache, Neighbor};
 pub use lsh::{E2Lsh, E2LshConfig};
 
 /// Common interface for top-K Euclidean search over a fixed point set.

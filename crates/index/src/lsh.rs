@@ -195,21 +195,6 @@ impl E2Lsh {
         Self::build_probed(points, config, probe)
     }
 
-    /// Dimensionality of the indexed points.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &E2LshConfig {
-        &self.config
-    }
-
-    /// The indexed points.
-    pub fn points(&self) -> &[Vec<f32>] {
-        &self.points
-    }
-
     /// All candidate point indices colliding with `query` in any table
     /// (deduplicated, unordered), including multi-probe buckets when
     /// configured.

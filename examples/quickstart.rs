@@ -24,7 +24,7 @@ fn main() {
     // frozen encoder, so fine-tuning is switched off with it.
     if std::env::var("VAER_SCORE_PRECISION").as_deref() == Ok("int8") {
         config.score_precision = ScorePrecision::Int8;
-        config.matcher.fine_tune_encoder = false;
+        config.matcher.fine_tune_min_pairs = usize::MAX;
         println!("scoring precision: int8");
     }
     // Set VAER_CKPT_DIR=<dir> to snapshot VAE training state there; a

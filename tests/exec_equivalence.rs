@@ -36,11 +36,10 @@ fn staged_resolve_matches_monolith_across_domains_and_seeds() {
 
 #[test]
 fn staged_resolve_matches_monolith_with_fine_tuned_encoder() {
-    // Force the non-frozen encoder path so the Encode stage takes the
-    // raw pair-example branch rather than the latent-cache fast path.
+    // Force the non-frozen encoder path so Score takes the raw
+    // pair-example lane rather than the latent-cache fast path.
     let ds = DomainSpec::new(Domain::Restaurants, Scale::Tiny).generate(7);
     let mut config = fast(7);
-    config.matcher.fine_tune_encoder = true;
     config.matcher.fine_tune_min_pairs = 1;
     let pipeline = Pipeline::fit(&ds, &config).unwrap();
     for (k, threshold) in [(5usize, 0.5f32), (8, 0.8)] {
@@ -56,24 +55,28 @@ fn staged_resolve_matches_monolith_with_fine_tuned_encoder() {
 fn resolve_probabilities_agree_with_predict() {
     // Scores produced inside the plan's Score stage must be the same
     // numbers `predict` returns for the linked pairs — one scoring
-    // path, not two.
+    // path, not two — on the frozen and the fine-tuned encoder lane.
     let ds = DomainSpec::new(Domain::Beer, Scale::Tiny).generate(11);
-    let pipeline = Pipeline::fit(&ds, &fast(11)).unwrap();
-    let links = pipeline.resolve(5, 0.3).unwrap();
-    assert!(!links.is_empty(), "need links for the cross-check");
-    let pairs = PairSet {
-        pairs: links
-            .iter()
-            .map(|&(a, b, _)| LabeledPair {
-                left: a,
-                right: b,
-                is_match: false,
-            })
-            .collect(),
-    };
-    let probs = pipeline.predict(&pairs).unwrap();
-    for (link, prob) in links.iter().zip(&probs) {
-        assert_eq!(link.2, *prob, "link {link:?} scored differently");
+    let mut fine_tuned = fast(11);
+    fine_tuned.matcher.fine_tune_min_pairs = 0;
+    for config in [fast(11), fine_tuned] {
+        let pipeline = Pipeline::fit(&ds, &config).unwrap();
+        let links = pipeline.resolve(5, 0.3).unwrap();
+        assert!(!links.is_empty(), "need links for the cross-check");
+        let pairs = PairSet {
+            pairs: links
+                .iter()
+                .map(|&(a, b, _)| LabeledPair {
+                    left: a,
+                    right: b,
+                    is_match: false,
+                })
+                .collect(),
+        };
+        let probs = pipeline.predict(&pairs).unwrap();
+        for (link, prob) in links.iter().zip(&probs) {
+            assert_eq!(link.2, *prob, "link {link:?} scored differently");
+        }
     }
 }
 

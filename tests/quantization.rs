@@ -6,10 +6,11 @@
 //! per-`(k, precision)` score memos that never mix lanes, a silent (but
 //! reported) fall-back to f32 when no quantized twin was calibrated, and
 //! bit-identity of the fused f32 Score stage against the unfused
-//! full-matrix construction.
+//! full-matrix construction on both encoder lanes.
 
 use vaer::core::exec::{FusedScoreStage, Stage, SCORE_BLOCK};
 use vaer::core::latent;
+use vaer::core::matcher::PairExamples;
 use vaer::core::pipeline::{Pipeline, PipelineConfig, ScorePrecision};
 use vaer::core::resilience::RunBudget;
 use vaer::data::domains::{Domain, DomainSpec, Scale};
@@ -165,7 +166,6 @@ fn int8_request_falls_back_to_f32_when_fine_tuned() {
 #[test]
 fn fused_f32_scoring_is_bit_identical_to_the_full_matrix_pass() {
     let ds = DomainSpec::new(Domain::Restaurants, Scale::Tiny).generate(31);
-    let p = Pipeline::fit(&ds, &fast_config(31)).unwrap();
     // More pairs than one SCORE_BLOCK so the chunk seam is exercised,
     // including a ragged tail.
     let (len_a, len_b) = (ds.table_a.len(), ds.table_b.len());
@@ -173,19 +173,34 @@ fn fused_f32_scoring_is_bit_identical_to_the_full_matrix_pass() {
     let pairs: Vec<(usize, usize)> = (0..n)
         .map(|i| ((i * 7) % len_a, (i * 13) % len_b))
         .collect();
-    let fused = FusedScoreStage {
-        pipeline: &p,
-        precision: ScorePrecision::F32,
-        budget: RunBudget::unlimited(),
-    }
-    .run(pairs.clone())
-    .unwrap();
-    let (lat_a, lat_b) = p.latents();
-    let features = latent::distance_features(p.config().matcher.distance, lat_a, lat_b, &pairs);
-    let full = p.matcher().predict_features(&features);
-    assert_eq!(fused.len(), full.len());
-    for (i, (a, b)) in fused.iter().zip(&full).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "pair {i}: fused {a} vs full {b}");
+    // The fused stage scores a fine-tuned pipeline too, through the
+    // encoder over the raw IRs.
+    let mut fine_tuned = fast_config(31);
+    fine_tuned.matcher.fine_tune_min_pairs = 0;
+    for (config, frozen) in [(fast_config(31), true), (fine_tuned, false)] {
+        let p = Pipeline::fit(&ds, &config).unwrap();
+        assert_eq!(p.matcher().encoder_frozen(), frozen);
+        let fused = FusedScoreStage {
+            pipeline: &p,
+            precision: ScorePrecision::F32,
+            budget: RunBudget::unlimited(),
+        }
+        .run(pairs.clone())
+        .unwrap();
+        let full = if frozen {
+            let (lat_a, lat_b) = p.latents();
+            let features =
+                latent::distance_features(p.config().matcher.distance, lat_a, lat_b, &pairs);
+            p.matcher().predict_features(&features)
+        } else {
+            let (irs_a, irs_b) = p.ir_tables();
+            p.matcher()
+                .predict(&PairExamples::build_unlabeled(irs_a, irs_b, &pairs))
+        };
+        assert_eq!(fused.len(), full.len());
+        for (i, (a, b)) in fused.iter().zip(&full).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "pair {i}: fused {a} vs full {b}");
+        }
     }
 }
 
