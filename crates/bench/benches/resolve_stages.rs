@@ -91,8 +91,8 @@ fn main() {
         PipelineConfig::paper()
     };
     config.seed = seed;
-    // Keep the encoder frozen at every scale: the int8 lane this harness
-    // times scores from the latent caches.
+    // Keep the encoder frozen at every scale: only a frozen fit
+    // calibrates the int8 twin this harness times.
     config.matcher.fine_tune_min_pairs = usize::MAX;
     let pipeline = Pipeline::fit(&ds, &config).expect("pipeline fit");
     // Freeze the fit-phase trainer spans (VAE training, matcher fit)

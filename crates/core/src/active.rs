@@ -168,7 +168,9 @@ pub struct AlCheckpoint {
 /// The representation model is frozen for the duration of the loop, so
 /// the learner encodes each table **once** into a [`LatentTable`] at
 /// construction; every later matcher-training and pool-scoring step
-/// indexes into the cache instead of re-running the encoder.
+/// indexes into the cache instead of re-running the encoder, until a
+/// round's matcher fine-tunes (then its pool scores from one pass per
+/// table through the tuned encoder).
 pub struct ActiveLearner<'a> {
     repr: &'a ReprModel,
     irs_a: &'a IrTable,
@@ -388,18 +390,19 @@ impl<'a> ActiveLearner<'a> {
         )
     }
 
-    /// Scores the unlabeled pool with `matcher`, reading cached latents
-    /// when the matcher's encoder is frozen (the common case) and only
-    /// re-encoding through the Siamese tape after fine-tuning.
+    /// Scores the unlabeled pool with `matcher` from latent caches: the
+    /// learner's own while the matcher's encoder is frozen (the common
+    /// case), else one encoder pass per table through the fine-tuned
+    /// encoder.
     fn score_pool(&self, matcher: &SiameseMatcher) -> Vec<f32> {
+        let tuned = matcher
+            .tuned_encoder(self.repr)
+            .map(|encoder| [self.irs_a, self.irs_b].map(|t| LatentTable::encode(&encoder, t)));
+        let lats = tuned
+            .as_ref()
+            .map_or((&self.lat_a, &self.lat_b), |[a, b]| (a, b));
         matcher
-            .score_pairs(
-                (self.irs_a, self.irs_b),
-                (&self.lat_a, &self.lat_b),
-                &self.pool,
-                None,
-                &RunBudget::unlimited(),
-            )
+            .score_pairs(lats, &self.pool, None, &RunBudget::unlimited())
             .expect("an unlimited budget never stops pool scoring") // vaer-lint: allow(panic) -- an unlimited budget never trips a probe
     }
 
@@ -1051,22 +1054,36 @@ mod tests {
     #[test]
     fn cached_pool_scoring_matches_direct_prediction() {
         let w = world(25, 5);
-        let learner = ActiveLearner::new(&w.repr, &w.a, &w.b, ActiveConfig::default());
-        let matcher = learner.train_matcher().unwrap();
-        assert!(matcher.encoder_frozen(), "small pool must stay frozen");
-        let cached = learner.score_pool(&matcher);
-        let direct = matcher.predict(&PairExamples::build_unlabeled(&w.a, &w.b, &learner.pool));
-        assert_eq!(cached, direct, "cached probabilities diverged");
+        // The default keeps a small pool's encoder frozen; 0 fine-tunes
+        // it, so the pool scores through the tuned encoder's caches.
+        for (fine_tune_min_pairs, frozen) in [
+            (MatcherConfig::default().fine_tune_min_pairs, true),
+            (0, false),
+        ] {
+            let config = ActiveConfig {
+                matcher: MatcherConfig {
+                    fine_tune_min_pairs,
+                    ..MatcherConfig::default()
+                },
+                ..ActiveConfig::default()
+            };
+            let learner = ActiveLearner::new(&w.repr, &w.a, &w.b, config);
+            let matcher = learner.train_matcher().unwrap();
+            assert_eq!(matcher.encoder_frozen(), frozen, "lane");
+            let cached = learner.score_pool(&matcher);
+            let direct = matcher.predict(&PairExamples::build_unlabeled(&w.a, &w.b, &learner.pool));
+            assert_eq!(cached, direct, "cached probabilities diverged");
 
-        // The cached trainer must be indistinguishable from the full one.
-        let full = SiameseMatcher::train(
-            &w.repr,
-            &PairExamples::build(&w.a, &w.b, &learner.labeled()),
-            &learner.config.matcher,
-        )
-        .unwrap();
-        let via_full = full.predict(&PairExamples::build_unlabeled(&w.a, &w.b, &learner.pool));
-        assert_eq!(cached, via_full, "cached training diverged");
+            // The cached trainer must be indistinguishable from the full one.
+            let full = SiameseMatcher::train(
+                &w.repr,
+                &PairExamples::build(&w.a, &w.b, &learner.labeled()),
+                &learner.config.matcher,
+            )
+            .unwrap();
+            let via_full = full.predict(&PairExamples::build_unlabeled(&w.a, &w.b, &learner.pool));
+            assert_eq!(cached, via_full, "cached training diverged");
+        }
     }
 
     #[test]

@@ -9,16 +9,15 @@
 //!
 //! * **Block** — LSH top-`k` join over the frozen latent means, producing
 //!   candidate pairs ([`vaer_index::JoinCache`] memoises per `k`).
-//! * **Encode** — pair features in the form the matcher's encoder lane
-//!   needs ([`PairFeatures`]).
+//! * **Encode** — Distance-layer features for the candidate pairs, read
+//!   from the latent caches of the matcher's encoder.
 //! * **Score** — matcher probabilities for the candidate pairs.
 //!   Resolution and `Pipeline::predict` run the *fused* form
 //!   ([`FusedScoreStage`]): encode → score in one pass per block of
-//!   candidates, never materialising the full feature matrix of a frozen
-//!   encoder ([`SCORE_BLOCK`] pairs per block), optionally through the
-//!   int8 lane ([`ScorePrecision::Int8`]). [`EncodeStage`] and
-//!   [`ScoreStage`] are the unfused adapters over the same matcher
-//!   primitives.
+//!   candidates, never materialising the full feature matrix
+//!   ([`SCORE_BLOCK`] pairs per block), optionally through the int8 lane
+//!   ([`ScorePrecision::Int8`]). [`EncodeStage`] and [`ScoreStage`] are
+//!   the unfused adapters over the same matcher primitives.
 //! * **Link** — threshold cut + greedy one-to-one matching, dropping
 //!   NaN-probability candidates deterministically.
 //! * **Cluster** — union-find consolidation into resolved entities.
@@ -39,8 +38,7 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::cluster::{cluster_links, EntityCluster};
-use crate::latent::LatentTable;
-use crate::matcher::PairFeatures;
+use crate::latent::{self, LatentTable};
 use crate::pipeline::{Pipeline, ScorePrecision};
 use crate::repr::ReprModel;
 use crate::resilience::{ResolutionHealth, RetryClass, RetryPolicy, RunBudget};
@@ -48,6 +46,7 @@ use crate::CoreError;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use vaer_index::{CandidatePair, JoinCache};
+use vaer_linalg::Matrix;
 
 pub use crate::matcher::SCORE_BLOCK;
 
@@ -169,8 +168,9 @@ pub trait Stage {
 /// resilience policy (budget probes, retries, degradation accounting).
 ///
 /// Checkpointed artifacts are stamped with the caller's `fingerprint`
-/// (seed ⊕ model ⊕ plan parameters); a stored artifact whose stamp does
-/// not match is ignored, not trusted. A stored artifact that *should*
+/// (for a [`ResolvePlan`], the fitted pipeline's content stamp salted
+/// with the plan parameters); a stored artifact whose stamp does not
+/// match is ignored, not trusted. A stored artifact that *should*
 /// match but cannot be read back (torn envelope, CRC failure, undecodable
 /// body) degrades to a recompute and is recorded in the executor's
 /// [`ResolutionHealth`] rather than silently swallowed.
@@ -443,18 +443,17 @@ fn load_candidates(bytes: &[u8]) -> Option<Vec<CandidatePair>> {
     Some(out)
 }
 
-/// Encode: pair features for candidate `(a_row, b_row)` pairs, in the
-/// form the matcher's encoder lane needs (see
-/// [`SiameseMatcher`](crate::matcher::SiameseMatcher)) — the unfused
+/// Encode: Distance-layer features for candidate `(a_row, b_row)` pairs,
+/// read from the latent caches of the matcher's encoder — the unfused
 /// adapter ahead of [`ScoreStage`].
 pub struct EncodeStage<'p> {
-    /// The fitted pipeline whose caches/IRs feed the features.
+    /// The fitted pipeline whose caches feed the features.
     pub pipeline: &'p Pipeline,
 }
 
 impl Stage for EncodeStage<'_> {
     type Input = Vec<(usize, usize)>;
-    type Output = PairFeatures;
+    type Output = Matrix;
 
     fn kind(&self) -> StageKind {
         StageKind::Encode
@@ -462,16 +461,16 @@ impl Stage for EncodeStage<'_> {
 
     fn run(&mut self, pairs: Self::Input) -> Result<Self::Output, CoreError> {
         let p = self.pipeline;
-        Ok(p.matcher
-            .pair_features((&p.irs_a, &p.irs_b), (&p.lat_a, &p.lat_b), &pairs))
+        let ((a, b), kind) = (p.score_latents(), p.matcher.config().distance);
+        Ok(latent::distance_features(kind, a, b, &pairs))
     }
 }
 
-/// Encode (fit-time variant): one table's IRs into a frozen latent cache.
-/// Same stage identity as [`EncodeStage`] — it is the same dataflow node,
+/// Encode (fit-time variant): one table's IRs into a latent cache. Same
+/// stage identity as [`EncodeStage`] — it is the same dataflow node,
 /// reached from `fit` instead of `resolve`.
 pub struct EncodeTableStage<'a> {
-    /// The frozen representation model.
+    /// The representation model, or a fine-tuned matcher's encoder.
     pub repr: &'a ReprModel,
     /// The IR table to encode.
     pub table: &'a crate::entity::IrTable,
@@ -499,15 +498,15 @@ pub struct ScoreStage<'p> {
 }
 
 impl Stage for ScoreStage<'_> {
-    type Input = PairFeatures;
+    type Input = Matrix;
     type Output = Vec<f32>;
 
     fn kind(&self) -> StageKind {
         StageKind::Score
     }
 
-    fn run(&mut self, features: PairFeatures) -> Result<Self::Output, CoreError> {
-        Ok(self.pipeline.matcher.score_features(&features, None))
+    fn run(&mut self, features: Matrix) -> Result<Self::Output, CoreError> {
+        Ok(self.pipeline.matcher.mlp_probs(&features))
     }
 
     fn save(&self, out: &Self::Output) -> Option<Vec<u8>> {
@@ -543,14 +542,13 @@ fn load_probs(bytes: &[u8]) -> Option<Vec<f32>> {
 }
 
 /// Score (fused): encode → score over the candidate pairs, one pass per
-/// block, for whichever encoder lane the matcher is on — the one Score
-/// body of resolution and `Pipeline::predict`. A frozen encoder's full
-/// feature matrix is never materialised (see [`SCORE_BLOCK`]). Same
-/// stage identity (span, failpoint, checkpoint slot) as [`ScoreStage`];
-/// `exec.encode` simply never fires during a fused resolution.
+/// block — the one Score body of resolution and `Pipeline::predict`.
+/// The full feature matrix is never materialised (see [`SCORE_BLOCK`]).
+/// Same stage identity (span, failpoint, checkpoint slot) as
+/// [`ScoreStage`]; `exec.encode` simply never fires during a fused
+/// resolution.
 pub struct FusedScoreStage<'p> {
-    /// The fitted pipeline whose latent caches / IRs and matcher score
-    /// pairs.
+    /// The fitted pipeline whose latent caches and matcher score pairs.
     pub pipeline: &'p Pipeline,
     /// Which scoring lane to run. `Int8` requires the pipeline to carry a
     /// calibrated [`crate::quant::QuantizedMatcher`].
@@ -578,13 +576,8 @@ impl Stage for FusedScoreStage<'_> {
                 )
             })?),
         };
-        p.matcher.score_pairs(
-            (&p.irs_a, &p.irs_b),
-            (&p.lat_a, &p.lat_b),
-            &pairs,
-            int8,
-            &self.budget,
-        )
+        p.matcher
+            .score_pairs(p.score_latents(), &pairs, int8, &self.budget)
     }
 
     fn save(&self, out: &Self::Output) -> Option<Vec<u8>> {
@@ -767,20 +760,15 @@ impl<'p> ResolvePlan<'p> {
         }
     }
 
-    /// Stamp for checkpointed artifacts: run parameters that change the
-    /// artifact's content (model + seed + `k` + scoring precision — an
-    /// int8 probability checkpoint must never resume an f32 run, and vice
-    /// versa; `F32` keeps the historical stamp so old checkpoints stay
-    /// valid).
+    /// Stamp for checkpointed artifacts: the pipeline's content stamp,
+    /// computed once per fit, salted with `k` and the scoring precision
+    /// (an int8 probability checkpoint must never resume an f32 run).
     fn fingerprint(&self, k: usize, precision: ScorePrecision) -> u64 {
         let salt = match precision {
             ScorePrecision::F32 => 0,
             ScorePrecision::Int8 => 0x18A7_C0DE_0000_0001,
         };
-        self.pipeline.config.seed
-            ^ self.pipeline.repr.fingerprint().rotate_left(17)
-            ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ salt
+        self.pipeline.stamp ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt
     }
 
     /// Runs Block → Score (fused) → Link for this `(k, threshold)` at the

@@ -23,7 +23,8 @@
 //! Because the representation model is frozen after stage 1, its
 //! encodings of a table never change during stages 2–3; [`latent`]
 //! caches them once per table and the AL loop, matcher, and pipeline
-//! all index into the cache instead of re-running the encoder.
+//! all index into the cache instead of re-running the encoder. A
+//! fine-tuned matcher encoder is cached the same way once its fit ends.
 
 pub mod active;
 pub mod checkpoint;

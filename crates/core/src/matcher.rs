@@ -178,22 +178,21 @@ impl PairExamples {
     }
 }
 
-/// Per-pair matcher inputs in the form the encoder lane needs:
-/// Distance-layer features read from the latent caches while the
-/// encoder is frozen, raw IR pair examples once it fine-tunes. Built by
-/// [`SiameseMatcher`], the one owner of that choice; the executor's
-/// Encode stage hands them to its Score stage.
-pub enum PairFeatures {
+/// Training inputs in the form the encoder lane needs: Distance-layer
+/// features read from the latent caches while the encoder stays frozen,
+/// raw IR pair examples when it fine-tunes.
+enum PairFeatures {
     /// Distance-layer features from the frozen-encoder latent caches.
     Cached(Matrix),
     /// Raw IR pair examples for a fine-tuned encoder.
     Raw(PairExamples),
 }
 
-/// Candidate pairs the frozen lane scores per block: bounds the
-/// transient feature matrix at `SCORE_BLOCK x (arity·latent)` however
-/// many candidates blocking produced. Scoring is row-independent, so the
-/// chunked result is bit-identical to a single full-matrix pass.
+/// Candidate pairs [`SiameseMatcher::score_pairs`] scores per block:
+/// bounds the transient feature matrix at `SCORE_BLOCK x
+/// (arity·latent)` however many candidates blocking produced. Scoring
+/// is row-independent, so the chunked result is bit-identical to a
+/// single full-matrix pass.
 pub const SCORE_BLOCK: usize = 512;
 
 /// The trained Siamese matching model (the `γ` of the paper).
@@ -360,11 +359,11 @@ impl SiameseMatcher {
         Ok(matcher)
     }
 
-    /// The lane decision: matcher inputs for `(a_row, b_row)` pairs of two
-    /// tables — Distance-layer features from the latent caches `lats`
-    /// while this matcher's encoder is frozen, raw pair examples over the
-    /// IRs `irs` once it fine-tuned.
-    pub(crate) fn pair_features(
+    /// The training-lane decision: inputs for `(a_row, b_row)` pairs of
+    /// two tables — Distance-layer features from the latent caches `lats`
+    /// while this matcher's encoder stays frozen, raw pair examples over
+    /// the IRs `irs` when it fine-tunes.
+    fn pair_features(
         &self,
         irs: (&IrTable, &IrTable),
         lats: (&LatentTable, &LatentTable),
@@ -382,65 +381,49 @@ impl SiameseMatcher {
         }
     }
 
-    /// Duplicate probabilities for features from
-    /// [`pair_features`](Self::pair_features): cached features score
-    /// through `int8` when given, else through the f32 MLP; raw examples
-    /// run the fine-tuned encoder (a fine-tuned matcher has no int8 twin,
-    /// see [`int8_twin`](Self::int8_twin)).
-    pub(crate) fn score_features(
-        &self,
-        features: &PairFeatures,
-        int8: Option<&QuantizedMatcher>,
-    ) -> Vec<f32> {
-        match (features, int8) {
-            (PairFeatures::Cached(m), Some(q)) => q.predict_features(m),
-            (PairFeatures::Cached(m), None) => self.predict_features(m),
-            (PairFeatures::Raw(ex), _) => self.predict(ex),
-        }
-    }
-
-    /// Duplicate probabilities for `(a_row, b_row)` pairs of two tables —
-    /// the one scoring body behind resolution, `Pipeline::predict` and
-    /// the active learner's pool scoring. `budget` is probed once per
-    /// block, so cancellation and deadlines surface mid-Score.
-    ///
-    /// The frozen lane scores [`SCORE_BLOCK`] pairs per block, optionally
-    /// through the `int8` twin. The fine-tuned lane scores every pair in
-    /// one block: on a 2-vCPU VM, 512-pair blocks on the tape cut the
-    /// supervised benchmark's peak RSS from ~112 to ~43 MiB but raised
-    /// its resolve p50 by ~13%, because each block restarts the shard
-    /// workers of [`predict`](Self::predict).
+    /// Duplicate probabilities for `(a_row, b_row)` pairs of two tables
+    /// from latent caches `lats` of this matcher's encoder (see
+    /// [`tuned_encoder`](Self::tuned_encoder)) — the one scoring body of
+    /// resolution, `Pipeline::predict` and the active learner's pool.
+    /// Each [`SCORE_BLOCK`] of pairs becomes Distance-layer features,
+    /// scored through `int8` when given, else the f32 MLP; `budget` is
+    /// probed once per block, so cancellation surfaces mid-Score.
     ///
     /// # Errors
     /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
     /// budget trips.
     pub(crate) fn score_pairs(
         &self,
-        irs: (&IrTable, &IrTable),
         lats: (&LatentTable, &LatentTable),
         pairs: &[(usize, usize)],
         int8: Option<&QuantizedMatcher>,
         budget: &RunBudget,
     ) -> Result<Vec<f32>, CoreError> {
-        let block = if self.frozen_encoder {
-            SCORE_BLOCK
-        } else {
-            pairs.len().max(1)
-        };
         let mut probs = Vec::with_capacity(pairs.len());
-        for chunk in pairs.chunks(block) {
+        for chunk in pairs.chunks(SCORE_BLOCK) {
             budget.probe("exec.score")?;
-            let features = self.pair_features(irs, lats, chunk);
-            probs.extend(self.score_features(&features, int8));
+            let features = latent::distance_features(self.config.distance, lats.0, lats.1, chunk);
+            probs.extend(match int8 {
+                Some(q) => q.predict_features(&features),
+                None => self.mlp_probs(&features),
+            });
         }
         Ok(probs)
+    }
+
+    /// The encoder scoring reads through once it fine-tuned: `repr`'s
+    /// configuration over this matcher's store. `None` while frozen,
+    /// when `repr`'s own latent caches serve scoring.
+    pub(crate) fn tuned_encoder(&self, repr: &ReprModel) -> Option<ReprModel> {
+        (!self.frozen_encoder)
+            .then(|| ReprModel::from_parts(repr.config().clone(), self.store.clone()))
     }
 
     /// The int8 inference twin, calibrated on the cached features of the
     /// `calibration` pairs (a frozen fit passes its own training pairs:
     /// deterministic, and drawn from the distance-feature distribution
-    /// resolution will score). `None` once the encoder fine-tuned: the
-    /// twin reads the latent caches, which fine-tuning makes stale.
+    /// resolution will score). `None` once the encoder fine-tuned: a twin
+    /// on the tuned caches missed the int8 parity envelope.
     ///
     /// # Errors
     /// Same as [`quantized`](Self::quantized) on the frozen lane.
@@ -462,8 +445,8 @@ impl SiameseMatcher {
     }
 
     /// Whether a matcher trained with `config` on `n_pairs` labelled
-    /// pairs keeps the encoder frozen — the predicate that gates every
-    /// latent-cache fast path.
+    /// pairs keeps the encoder frozen — the predicate that picks the
+    /// training lane.
     fn frozen_for(config: &MatcherConfig, n_pairs: usize) -> bool {
         n_pairs < config.fine_tune_min_pairs
     }
@@ -772,6 +755,15 @@ impl SiameseMatcher {
             self.frozen_encoder,
             "cached features are invalid for a fine-tuned encoder"
         );
+        self.mlp_probs(features)
+    }
+
+    /// The f32 MLP pass over Distance-layer features built from caches of
+    /// this matcher's own encoder, whichever lane trained it.
+    ///
+    /// # Panics
+    /// Panics on a feature width mismatch.
+    pub(crate) fn mlp_probs(&self, features: &Matrix) -> Vec<f32> {
         assert_eq!(
             features.cols(),
             self.arity * self.latent_dim,

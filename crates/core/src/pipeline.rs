@@ -7,7 +7,7 @@ use crate::evaluation::topk_eval_vae;
 use crate::exec::{self, ResolvePlan};
 use crate::latent::{self, LatentTable};
 use crate::matcher::{MatcherConfig, PairExamples, SiameseMatcher};
-use crate::repr::{ReprConfig, ReprModel, ReprTrainStats};
+use crate::repr::{fnv1a, ReprConfig, ReprModel, ReprTrainStats};
 use crate::resilience::RunBudget;
 use crate::CoreError;
 use std::collections::BTreeSet;
@@ -158,11 +158,17 @@ pub struct Pipeline {
     pub(crate) irs_b: IrTable,
     pub(crate) lat_a: LatentTable,
     pub(crate) lat_b: LatentTable,
+    /// Both tables encoded through the fine-tuned matcher's encoder;
+    /// `None` while the encoder is frozen.
+    tuned: Option<(LatentTable, LatentTable)>,
     pub(crate) reprs_a: Vec<EntityRepr>,
     pub(crate) reprs_b: Vec<EntityRepr>,
     timings: Timings,
     repr_stats: ReprTrainStats,
     pub(crate) config: PipelineConfig,
+    /// Content stamp of the fit (IR tables, VAE and matcher weights,
+    /// seed) that checkpointed plan artifacts are keyed by.
+    pub(crate) stamp: u64,
     artifacts: PlanArtifacts,
 }
 
@@ -224,6 +230,10 @@ impl Pipeline {
         if arity != dataset.table_b.schema.arity() {
             return Err(CoreError::BadInput("tables must share arity".into()));
         }
+        dataset
+            .train_pairs
+            .validate(&dataset.table_a, &dataset.table_b)
+            .map_err(|e| CoreError::BadInput(format!("training pairs: {e}")))?;
         let _span = vaer_obs::span("pipeline.fit");
         // Stage 1: IRs.
         let stage = vaer_obs::span("pipeline.stage.ir");
@@ -274,22 +284,11 @@ impl Pipeline {
         // read from it.
         let mut executor = exec::Executor::new();
         executor.set_budget(budget.clone());
-        let lat_a = executor.run(
-            &mut exec::EncodeTableStage {
-                repr: &repr,
-                table: &irs_a,
-            },
-            (),
-            config.seed,
-        )?;
-        let lat_b = executor.run(
-            &mut exec::EncodeTableStage {
-                repr: &repr,
-                table: &irs_b,
-            },
-            (),
-            config.seed ^ 1,
-        )?;
+        let encode = |repr: &ReprModel, table: &IrTable| {
+            executor.run(&mut exec::EncodeTableStage { repr, table }, (), config.seed)
+        };
+        let lat_a = encode(&repr, &irs_a)?;
+        let lat_b = encode(&repr, &irs_b)?;
         let reprs_a = lat_a.entities();
         let reprs_b = lat_b.entities();
         drop(stage);
@@ -331,6 +330,13 @@ impl Pipeline {
         // set; a fine-tuned one gets no twin (Int8 requests fall back to
         // f32 at resolution time).
         let quantized = matcher.int8_twin((&lat_a, &lat_b), &train_pairs)?;
+        // A fine-tuned encoder is as fixed as the VAE's from here on:
+        // encode both tables through it once, so Score reads caches.
+        let tuned = match matcher.tuned_encoder(&repr) {
+            Some(encoder) => Some((encode(&encoder, &irs_a)?, encode(&encoder, &irs_b)?)),
+            None => None,
+        };
+        let stamp = content_stamp([&irs_a, &irs_b], &repr, &matcher, config.seed);
         let match_secs = t2.elapsed().as_secs_f64();
         drop(stage);
         vaer_obs::event(
@@ -354,6 +360,7 @@ impl Pipeline {
             irs_b,
             lat_a,
             lat_b,
+            tuned,
             reprs_a,
             reprs_b,
             timings: Timings {
@@ -363,19 +370,26 @@ impl Pipeline {
             },
             repr_stats,
             config: config.clone(),
+            stamp,
             artifacts: PlanArtifacts::default(),
         })
     }
 
     /// Duplicate probabilities for labelled pairs, via the executor's
-    /// fused Score stage at f32 — the scoring body resolution runs. While
-    /// the matcher's encoder is frozen (the common case) the features come
-    /// from the latent caches rather than re-running the encoder per call.
+    /// fused Score stage at f32 — the scoring body resolution runs, over
+    /// the latent caches the fit encoded, so no call re-runs the encoder.
     ///
     /// # Errors
+    /// [`CoreError::BadInput`] when a pair indexes past either table;
     /// [`CoreError::Io`] when a `vaer-fault` failpoint injects an error
     /// into the Score stage.
     pub fn predict(&self, pairs: &PairSet) -> Result<Vec<f32>, CoreError> {
+        let (len_a, len_b) = (self.reprs_a.len(), self.reprs_b.len());
+        let out_of_range = |p: &LabeledPair| p.left >= len_a || p.right >= len_b;
+        if pairs.pairs.iter().any(out_of_range) {
+            let why = format!("a pair is out of range for tables of {len_a} x {len_b} rows");
+            return Err(CoreError::BadInput(why));
+        }
         let idx: Vec<(usize, usize)> = pairs.pairs.iter().map(|p| (p.left, p.right)).collect();
         exec::Executor::new().run(
             &mut exec::FusedScoreStage {
@@ -389,6 +403,9 @@ impl Pipeline {
     }
 
     /// P/R/F1 of the matcher on a labelled pair set.
+    ///
+    /// # Panics
+    /// Panics when a pair indexes past either table (`predict` errors).
     pub fn evaluate(&self, pairs: &PairSet) -> PrF1 {
         self.matcher
             .evaluate(&PairExamples::build(&self.irs_a, &self.irs_b, pairs))
@@ -607,14 +624,38 @@ impl Pipeline {
 
     /// The cached latent encodings (`(table_a, table_b)`) — valid for
     /// [`repr`](Self::repr) until a transferred model replaces it.
+    /// Blocking reads them; so does scoring while the encoder is frozen.
     pub fn latents(&self) -> (&LatentTable, &LatentTable) {
         (&self.lat_a, &self.lat_b)
+    }
+
+    /// The latent caches scoring reads: the fine-tuned encoder's once
+    /// the matcher fine-tuned, else [`latents`](Self::latents).
+    pub(crate) fn score_latents(&self) -> (&LatentTable, &LatentTable) {
+        self.tuned
+            .as_ref()
+            .map_or((&self.lat_a, &self.lat_b), |(a, b)| (a, b))
     }
 
     /// The configuration the pipeline was fitted with.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
     }
+}
+
+/// FNV-1a over everything a checkpointed Block or Score artifact
+/// depends on besides the plan's `k` and precision: the seed, both IR
+/// tables, the VAE weights and the matcher weights.
+fn content_stamp(irs: [&IrTable; 2], repr: &ReprModel, matcher: &SiameseMatcher, seed: u64) -> u64 {
+    let mut bytes = seed.to_le_bytes().to_vec();
+    for table in irs {
+        let shape = [table.arity, table.irs.rows(), table.irs.cols()];
+        bytes.extend(shape.iter().flat_map(|&n| (n as u64).to_le_bytes()));
+        bytes.extend(table.irs.as_slice().iter().flat_map(|v| v.to_le_bytes()));
+    }
+    bytes.extend(repr.store().to_bytes());
+    bytes.extend(matcher.store().to_bytes());
+    fnv1a(&bytes)
 }
 
 /// Uniform random `(a, b)` auto-negatives avoiding every labelled

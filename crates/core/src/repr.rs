@@ -125,6 +125,14 @@ pub fn reset_encode_calls() {
     ENCODE_CALLS.store(0, std::sync::atomic::Ordering::Relaxed);
 }
 
+/// FNV-1a over `bytes` — the content hash behind
+/// [`ReprModel::fingerprint`] and the fitted pipeline's checkpoint stamp.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
 /// Layer-name constants shared with the Siamese matcher (which rebinds the
 /// encoder by these names) and the transfer serialiser.
 pub const ENC_HIDDEN: &str = "repr.enc.hidden";
@@ -483,6 +491,12 @@ impl ReprModel {
         Ok(())
     }
 
+    /// A model over `store`, whose encoder layers must have `config`'s
+    /// shapes — how a fine-tuned matcher's encoder is run as an encoder.
+    pub(crate) fn from_parts(config: ReprConfig, store: ParamStore) -> Self {
+        Self { store, config }
+    }
+
     /// The model configuration.
     pub fn config(&self) -> &ReprConfig {
         &self.config
@@ -577,13 +591,7 @@ impl ReprModel {
     /// frozen-encoder cache to detect that a model's weights changed
     /// (e.g. after transfer loads different parameters).
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the serialised parameters.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in self.store.to_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        fnv1a(&self.store.to_bytes())
     }
 
     /// Decodes latent samples back to IR space (the generative direction).

@@ -3,7 +3,9 @@
 
 use vaer::core::pipeline::{Pipeline, PipelineConfig};
 use vaer::core::transfer::adapt_dataset_arity;
+use vaer::core::CoreError;
 use vaer::data::domains::{Domain, DomainSpec, Scale};
+use vaer::data::{LabeledPair, PairSet};
 
 fn fast(seed: u64) -> PipelineConfig {
     let mut c = PipelineConfig::fast();
@@ -95,5 +97,36 @@ fn deterministic_given_seed() {
     assert_eq!(
         a.predict(&ds.test_pairs).unwrap(),
         b.predict(&ds.test_pairs).unwrap()
+    );
+}
+
+#[test]
+fn out_of_range_pairs_are_bad_input_not_panics() {
+    let ds = DomainSpec::new(Domain::Beer, Scale::Tiny).generate(6);
+    let config = fast(6);
+    let mut bad = ds.clone();
+    bad.train_pairs.pairs.push(LabeledPair {
+        left: ds.table_a.len(),
+        right: 0,
+        is_match: true,
+    });
+    let fitted = Pipeline::fit(&bad, &config);
+    assert!(matches!(fitted, Err(CoreError::BadInput(_))), "fit");
+    let pipeline = Pipeline::fit(&ds, &config).unwrap();
+    let transferred = Pipeline::fit_transferred(&bad, &config, pipeline.repr().clone());
+    assert!(
+        matches!(transferred, Err(CoreError::BadInput(_))),
+        "fit_transferred"
+    );
+    let far = PairSet {
+        pairs: vec![LabeledPair {
+            left: 0,
+            right: ds.table_b.len(),
+            is_match: false,
+        }],
+    };
+    assert!(
+        matches!(pipeline.predict(&far), Err(CoreError::BadInput(_))),
+        "predict"
     );
 }

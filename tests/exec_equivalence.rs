@@ -36,8 +36,8 @@ fn staged_resolve_matches_monolith_across_domains_and_seeds() {
 
 #[test]
 fn staged_resolve_matches_monolith_with_fine_tuned_encoder() {
-    // Force the non-frozen encoder path so Score takes the raw
-    // pair-example lane rather than the latent-cache fast path.
+    // Force a fine-tuned encoder so Score reads the caches the fit
+    // encoded through it rather than the VAE's.
     let ds = DomainSpec::new(Domain::Restaurants, Scale::Tiny).generate(7);
     let mut config = fast(7);
     config.matcher.fine_tune_min_pairs = 1;

@@ -5,9 +5,9 @@
 //! resume a killed resolve bit-for-bit from the stage artifacts.
 //!
 //! This binary mutates the global observability level and arms
-//! failpoints, so everything lives in ONE #[test]: sibling tests in the
-//! same process could observe the level mid-change or trip an armed
-//! failpoint.
+//! failpoints, so every test holds `vaer::fault::test_lock()` for its
+//! whole body: a sibling test could otherwise observe the level
+//! mid-change or trip an armed failpoint.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -106,4 +106,39 @@ fn staged_resolution_counts_builds_reports_failures_and_resumes() {
 
     let _ = std::fs::remove_dir_all(&dir);
     vaer::obs::set_level(Level::Off);
+}
+
+/// Two pipelines fitted on the same VAE, seed and tables but on
+/// different labels share one checkpoint directory: each plan must
+/// resolve to its own links, never resume the other's Score artifact.
+#[test]
+fn checkpoints_never_resume_another_pipelines_artifacts() {
+    let _guard = vaer::fault::test_lock();
+    vaer::fault::clear();
+    let ds = DomainSpec::new(Domain::Restaurants, Scale::Tiny).generate(31);
+    let mut config = PipelineConfig::fast();
+    config.seed = 31;
+    let vae = Pipeline::fit(&ds, &config).unwrap().repr().clone();
+    let mut inverted = ds.clone();
+    for pair in &mut inverted.train_pairs.pairs {
+        pair.is_match = !pair.is_match;
+    }
+    let first = Pipeline::fit_transferred(&ds, &config, vae.clone()).unwrap();
+    let second = Pipeline::fit_transferred(&inverted, &config, vae).unwrap();
+    let dir = temp_dir("shared");
+    let resolve = |pipeline: &Pipeline| {
+        let store = CheckpointStore::open(&dir, "exec").unwrap();
+        let mut plan = pipeline.resolve_plan().with_checkpoints(store);
+        plan.run(5, 0.5).unwrap().links
+    };
+    let first_links = resolve(&first);
+    let second_links = resolve(&second);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(first_links, first.resolve(5, 0.5).unwrap());
+    assert_eq!(
+        second_links,
+        second.resolve(5, 0.5).unwrap(),
+        "the second plan resumed the first pipeline's artifacts"
+    );
+    assert_ne!(first_links, second_links, "the two fits must differ");
 }

@@ -6,9 +6,11 @@
 //! per-`(k, precision)` score memos that never mix lanes, a silent (but
 //! reported) fall-back to f32 when no quantized twin was calibrated, and
 //! bit-identity of the fused f32 Score stage against the unfused
-//! full-matrix construction on both encoder lanes.
+//! full-matrix construction and the Encode → Score adapters on both
+//! encoder lanes, all read from the latent caches of the matcher's
+//! encoder.
 
-use vaer::core::exec::{FusedScoreStage, Stage, SCORE_BLOCK};
+use vaer::core::exec::{EncodeStage, FusedScoreStage, ScoreStage, Stage, SCORE_BLOCK};
 use vaer::core::latent;
 use vaer::core::matcher::PairExamples;
 use vaer::core::pipeline::{Pipeline, PipelineConfig, ScorePrecision};
@@ -173,8 +175,9 @@ fn fused_f32_scoring_is_bit_identical_to_the_full_matrix_pass() {
     let pairs: Vec<(usize, usize)> = (0..n)
         .map(|i| ((i * 7) % len_a, (i * 13) % len_b))
         .collect();
-    // The fused stage scores a fine-tuned pipeline too, through the
-    // encoder over the raw IRs.
+    // The fused stage scores a fine-tuned pipeline too, from the caches
+    // its fit encoded through the tuned encoder; the tape `predict` over
+    // the raw IRs is that lane's oracle.
     let mut fine_tuned = fast_config(31);
     fine_tuned.matcher.fine_tune_min_pairs = 0;
     for (config, frozen) in [(fast_config(31), true), (fine_tuned, false)] {
@@ -200,6 +203,17 @@ fn fused_f32_scoring_is_bit_identical_to_the_full_matrix_pass() {
         assert_eq!(fused.len(), full.len());
         for (i, (a, b)) in fused.iter().zip(&full).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "pair {i}: fused {a} vs full {b}");
+        }
+        // The unfused Encode → Score adapters read the same caches.
+        let features = EncodeStage { pipeline: &p }.run(pairs.clone()).unwrap();
+        let staged = ScoreStage { pipeline: &p }.run(features).unwrap();
+        assert_eq!(fused.len(), staged.len());
+        for (i, (a, b)) in fused.iter().zip(&staged).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "pair {i}: fused {a} vs staged {b}"
+            );
         }
     }
 }
