@@ -661,12 +661,12 @@ mod tests {
         let dir = temp_dir("retry");
         let store = CheckpointStore::open(&dir, "t").unwrap();
         // First attempt fails, the retry succeeds.
-        vaer_fault::configure("checkpoint.write=err@1").unwrap();
+        vaer_fault::configure_on_this_thread("checkpoint.write=err@1").unwrap();
         let retries = store.write(1, b"payload", &RunBudget::unlimited()).unwrap();
         assert_eq!(retries, 1);
         assert_eq!(store.read(1).unwrap(), b"payload");
         // Under an exhausted budget the writer must not sleep-and-retry.
-        vaer_fault::configure("checkpoint.write=err").unwrap();
+        vaer_fault::configure_on_this_thread("checkpoint.write=err").unwrap();
         let b = RunBudget::unlimited().with_deadline(std::time::Duration::ZERO);
         assert!(store.write(2, b"payload", &b).is_err());
         assert_eq!(

@@ -1172,7 +1172,7 @@ mod tests {
         let examples = PairExamples::build(&a, &b, &train);
         let _guard = vaer_fault::test_lock();
         // Persistent NaN: every epoch rolls back until the budget runs out.
-        vaer_fault::configure("matcher.grads=nan").unwrap();
+        vaer_fault::configure_on_this_thread("matcher.grads=nan").unwrap();
         let err = SiameseMatcher::train(&repr, &examples, &MatcherConfig::fast());
         vaer_fault::clear();
         assert!(
@@ -1181,7 +1181,7 @@ mod tests {
             err.map(|_| "ok")
         );
         // One poisoned batch is absorbed by a single rollback.
-        vaer_fault::configure("matcher.grads=nan@1").unwrap();
+        vaer_fault::configure_on_this_thread("matcher.grads=nan@1").unwrap();
         let recovered = SiameseMatcher::train(&repr, &examples, &MatcherConfig::fast());
         vaer_fault::clear();
         assert!(recovered.is_ok(), "one transient NaN must be survivable");

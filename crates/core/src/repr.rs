@@ -1070,7 +1070,7 @@ mod tests {
             ..ReprConfig::fast(8)
         };
         let _guard = vaer_fault::test_lock();
-        vaer_fault::configure("vae.grads=nan").unwrap();
+        vaer_fault::configure_on_this_thread("vae.grads=nan").unwrap();
         let err = ReprModel::train(&irs, &config);
         vaer_fault::clear();
         assert!(
@@ -1079,7 +1079,7 @@ mod tests {
         );
 
         // A single poisoned batch is absorbed: rollback, retry, converge.
-        vaer_fault::configure("vae.grads=nan@1").unwrap();
+        vaer_fault::configure_on_this_thread("vae.grads=nan@1").unwrap();
         let recovered = ReprModel::train(&irs, &config);
         vaer_fault::clear();
         let (_, stats) = recovered.expect("one transient NaN must be survivable");

@@ -32,7 +32,8 @@
 //! tests arm failpoints programmatically with [`configure`] and disarm
 //! them with [`clear`]. Failpoint state is process-global — tests that
 //! arm failpoints must serialise against each other (e.g. behind a
-//! `Mutex`).
+//! `Mutex`), and a unit test that arms a site other tests reach
+//! concurrently arms it with [`configure_on_this_thread`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, Once};
@@ -110,6 +111,9 @@ struct Failpoint {
     prob: Option<f64>,
     /// Deterministic per-failpoint RNG state for `~p` draws.
     rng: u64,
+    /// The only thread whose hits count (see [`configure_on_this_thread`]);
+    /// `None` for every thread.
+    only_on: Option<std::thread::ThreadId>,
 }
 
 /// FNV-1a, folding a failpoint name into its RNG stream so two `~p`
@@ -163,6 +167,23 @@ pub fn configure(spec: &str) -> Result<(), String> {
 /// Returns a description of the first malformed clause; the previously
 /// armed set is left untouched in that case.
 pub fn configure_seeded(spec: &str, seed: u64) -> Result<(), String> {
+    arm(spec, seed, None)
+}
+
+/// Like [`configure`], but the failpoints count and fire only on hits
+/// from the calling thread; other threads pass through them as if they
+/// were unarmed. Unit tests that arm a site which concurrently running
+/// tests also reach (a training step, a checkpoint write) use this, so
+/// the injected fault stays inside the test that asked for it.
+///
+/// # Errors
+/// Returns a description of the first malformed clause; the previously
+/// armed set is left untouched in that case.
+pub fn configure_on_this_thread(spec: &str) -> Result<(), String> {
+    arm(spec, 0, Some(std::thread::current().id()))
+}
+
+fn arm(spec: &str, seed: u64, only_on: Option<std::thread::ThreadId>) -> Result<(), String> {
     let mut parsed = Vec::new();
     for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
         let (name, rhs) = clause
@@ -213,6 +234,7 @@ pub fn configure_seeded(spec: &str, seed: u64) -> Result<(), String> {
             fired: 0,
             prob,
             rng: seed ^ fnv1a(name),
+            only_on,
         });
     }
     let armed = !parsed.is_empty();
@@ -270,7 +292,10 @@ pub fn check(name: &str) -> Option<Action> {
 #[cold]
 fn check_slow(name: &str) -> Option<Action> {
     let mut fps = registry();
-    let fp = fps.iter_mut().find(|fp| fp.name == name)?;
+    let here = std::thread::current().id();
+    let fp = fps
+        .iter_mut()
+        .find(|fp| fp.name == name && fp.only_on.is_none_or(|t| t == here))?;
     fp.hits += 1;
     if fp.hits < fp.from || fp.hits > fp.to {
         return None;
@@ -320,6 +345,22 @@ mod tests {
 
     fn guard() -> MutexGuard<'static, ()> {
         test_lock()
+    }
+
+    #[test]
+    fn thread_scoped_arming_ignores_other_threads() {
+        let _g = guard();
+        configure_on_this_thread("scoped.site=nan").unwrap();
+        let elsewhere = std::thread::spawn(|| check("scoped.site")).join().unwrap();
+        assert_eq!(elsewhere, None);
+        assert_eq!(
+            hits("scoped.site"),
+            0,
+            "other threads' hits are not counted"
+        );
+        assert_eq!(check("scoped.site"), Some(Action::Nan));
+        assert_eq!(hits("scoped.site"), 1);
+        clear();
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod vector;
 
 pub use decomp::{jacobi_eigh, qr_thin, randomized_svd, EighResult, QrResult, SvdResult};
 pub use matrix::Matrix;
-pub use ops::{matmul_reference, matmul_t_reference, t_matmul_reference, MR, NR};
+pub use ops::{matmul_reference, matmul_t_reference, t_matmul_reference, MR, NR, PAR_FLOP_CUTOFF};
 pub use quant::{
     i8_matmul_t, i8_matmul_t_packed, i8_matmul_t_reference, max_abs, scale_for_max_abs,
     PackedI8Rhs, QuantizedMatrix,

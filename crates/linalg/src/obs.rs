@@ -20,16 +20,17 @@ pub(crate) const T_MATMUL: usize = 2;
 
 const KERNEL_NAMES: [&str; 3] = ["matmul", "matmul_t", "t_matmul"];
 
-/// Shape classes by multiply-add count. `small`'s upper edge is the
-/// parallel FLOP cutoff, so `tiny`/`small` products are always serial
-/// and `medium`/`large` are parallel-eligible.
+/// Shape classes by multiply-add count: `tiny` < 2^13 ≤ `small` < 2^17
+/// ≤ `medium` < 2^22 ≤ `large`. The edges are fixed so the per-class
+/// series compare across commits; whether a product ran parallel is
+/// counted by the dispatch counters, not by its class.
 const CLASS_NAMES: [&str; 4] = ["tiny", "small", "medium", "large"];
 
 /// Buckets a product's multiply-add count (`m * k * n`) into a class.
 pub(crate) fn shape_class(madds: usize) -> usize {
     if madds < 1 << 13 {
         0
-    } else if madds < crate::ops::PAR_FLOP_CUTOFF {
+    } else if madds < 1 << 17 {
         1
     } else if madds < 1 << 22 {
         2
@@ -107,9 +108,10 @@ pub(crate) fn matmul_finish(kernel: usize, madds: usize, parallel: bool, start: 
 
 struct PoolObs {
     tasks: Counter,
-    spawned: Counter,
+    handed_off: Counter,
     inline_runs: Counter,
     join_wait_nanos: Counter,
+    workers_started: Counter,
 }
 
 static POOL_OBS: OnceLock<PoolObs> = OnceLock::new();
@@ -117,35 +119,48 @@ static POOL_OBS: OnceLock<PoolObs> = OnceLock::new();
 fn pool_obs() -> &'static PoolObs {
     POOL_OBS.get_or_init(|| PoolObs {
         tasks: counter("runtime.tasks"),
-        spawned: counter("runtime.shards_spawned"),
+        // The name predates the parked pool; it counts hand-offs.
+        handed_off: counter("runtime.shards_spawned"),
         inline_runs: counter("runtime.inline_runs"),
         join_wait_nanos: counter("runtime.join_wait_nanos"),
+        workers_started: counter("runtime.workers_started"),
     })
 }
 
-/// Records a shard map that ran inline on the calling thread.
+/// Records a shard map that ran inline on the calling thread: `shards`
+/// tasks (more than one only for a call nested in a shard).
 #[inline]
-pub(crate) fn pool_inline() {
+pub(crate) fn pool_inline(shards: usize) {
     if vaer_obs::enabled() {
         let obs = pool_obs();
-        obs.tasks.incr();
+        obs.tasks.add(shards as u64);
         obs.inline_runs.incr();
     }
 }
 
-/// Records a shard map that spawned workers: `shards` total tasks, of
-/// which `spawned` ran on spawned scoped threads.
+/// Records a shard map run on the calling thread's pool: `shards`
+/// tasks, of which `handed_off` a parked worker claimed and ran
+/// (`runtime.shards_spawned`); shards the caller ran itself, shard 0
+/// included, are not hand-offs.
 #[inline]
-pub(crate) fn pool_spawned(shards: usize, spawned: usize) {
+pub(crate) fn pool_dispatched(shards: usize, handed_off: usize) {
     if vaer_obs::enabled() {
         let obs = pool_obs();
         obs.tasks.add(shards as u64);
-        obs.spawned.add(spawned as u64);
+        obs.handed_off.add(handed_off as u64);
     }
 }
 
-/// Time the calling thread spent blocked joining workers after its own
-/// shard finished — the pool's idle-time proxy.
+/// Records a worker thread started for a calling thread's pool.
+#[inline]
+pub(crate) fn pool_worker_started() {
+    if vaer_obs::enabled() {
+        pool_obs().workers_started.incr();
+    }
+}
+
+/// Time the calling thread spent waiting on its workers after it ran
+/// out of shards to claim — the pool's idle-time proxy.
 #[inline]
 pub(crate) fn pool_join_wait(start: Option<Instant>) {
     if let Some(t0) = start {
@@ -174,8 +189,8 @@ mod tests {
         assert_eq!(shape_class(0), 0);
         assert_eq!(shape_class((1 << 13) - 1), 0);
         assert_eq!(shape_class(1 << 13), 1);
-        assert_eq!(shape_class(crate::ops::PAR_FLOP_CUTOFF - 1), 1);
-        assert_eq!(shape_class(crate::ops::PAR_FLOP_CUTOFF), 2);
+        assert_eq!(shape_class((1 << 17) - 1), 1);
+        assert_eq!(shape_class(1 << 17), 2);
         assert_eq!(shape_class((1 << 22) - 1), 2);
         assert_eq!(shape_class(1 << 22), 3);
         assert_eq!(shape_class(usize::MAX), 3);

@@ -19,9 +19,19 @@ use crate::matrix::Matrix;
 use crate::runtime;
 use std::ops::Range;
 
-/// Multiply-add count below which a matrix product stays serial: shard
-/// setup costs more than it saves on tiny products.
-pub const PAR_FLOP_CUTOFF: usize = 1 << 17;
+/// Multiply-add count below which a matrix product stays serial: below
+/// it, handing half the rows to a parked worker costs more than it
+/// saves. Set at the break-even measured by `cargo bench -p vaer-bench
+/// --bench parallel_runtime` on a shared 2-vCPU KVM guest (seven runs):
+/// a parked worker starts its shard p50 8–18 µs and p90 9–29 µs after
+/// the call. With two workers the matcher's 32×64×96 and 32×128×32
+/// products (2^17–2^17.6, 15–35 µs serial) ran at median 0.66× and
+/// 0.65× serial speed, the 64- to 256-row ×128×32 blocks (≤ 2^20) at
+/// 0.50–0.95×, and the 512×128×32 Score block (2^21) at 0.90–1.43×,
+/// median 1.02×; a 512×256×512 product gained (median 1.29×). Below the
+/// cutoff a product never pays the hand-off; at and above it, the
+/// caller still runs any shard a late worker has not claimed.
+pub const PAR_FLOP_CUTOFF: usize = 1 << 21;
 
 /// Minimum output rows per shard for parallel products.
 const MIN_ROWS_PER_SHARD: usize = 8;
@@ -641,13 +651,16 @@ mod tests {
         let _guard = crate::runtime::OVERRIDE_LOCK.lock().unwrap();
         let mut rng = crate::XorShiftRng::new(0xBEEF);
         // Shapes straddling the parallel cutoff, including odd sizes that
-        // don't divide evenly into shards.
+        // don't divide evenly into shards; the last is sized from the
+        // cutoff so it stays parallel, split unevenly at 2 and 4 threads,
+        // whatever the cutoff is set to.
         let shapes = [
             (3, 5, 4),
             (17, 33, 9),
             (64, 64, 64),
             (130, 70, 110),
             (256, 96, 256),
+            (131, 128, PAR_FLOP_CUTOFF.div_ceil(131 * 128)),
         ];
         for &(m, k, n) in &shapes {
             let a = Matrix::gaussian(m, k, &mut rng);

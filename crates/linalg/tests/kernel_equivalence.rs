@@ -9,7 +9,7 @@
 use vaer_linalg::{
     distance_row, distance_row_scalar, i8_matmul_t, i8_matmul_t_reference, matmul_reference,
     matmul_t_reference, runtime, t_matmul_reference, DistanceOp, Matrix, QuantizedMatrix,
-    XorShiftRng, MR, NR,
+    XorShiftRng, MR, NR, PAR_FLOP_CUTOFF,
 };
 
 /// Serialises tests that touch the process-global thread override.
@@ -29,9 +29,14 @@ fn edge_shapes() -> Vec<(usize, usize, usize)> {
         (37, 23, 41),
         (64, 64, 64),
         (130, 70, 110),
+        (96, 64, 96),
     ];
-    // A shape large enough to cross the parallel cutoff.
-    shapes.push((96, 64, 96));
+    // Shapes at and above the parallel cutoff whose rows split unevenly
+    // at 2 and 4 threads, sized from the cutoff so they stay parallel
+    // whatever it is set to.
+    for m in [131, 263] {
+        shapes.push((m, 128, PAR_FLOP_CUTOFF.div_ceil(m * 128)));
+    }
     shapes
 }
 

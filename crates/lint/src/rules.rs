@@ -233,9 +233,9 @@ impl Rule for DetWallclock {
     }
 }
 
-/// determinism: no raw `thread::spawn` — all parallelism goes through
-/// `vaer_linalg::runtime`, whose fixed shard order is what keeps
-/// parallel gradients bit-identical.
+/// determinism: no raw `thread::spawn` or `thread::Builder` — all
+/// parallelism goes through `vaer_linalg::runtime`, whose fixed shard
+/// order is what keeps parallel gradients bit-identical.
 struct DetThreadSpawn;
 
 impl Rule for DetThreadSpawn {
@@ -243,7 +243,7 @@ impl Rule for DetThreadSpawn {
         "det-thread-spawn"
     }
     fn description(&self) -> &'static str {
-        "raw thread::spawn bypasses the deterministic vaer_linalg::runtime worker pool"
+        "raw thread::spawn/thread::Builder bypasses the deterministic vaer_linalg::runtime worker pool"
     }
     fn check(&self, file: &SourceFile, _ctx: &Context, out: &mut Vec<Finding>) {
         let code = code(file);
@@ -251,14 +251,17 @@ impl Rule for DetThreadSpawn {
             if w[0].is_ident("thread")
                 && w[1].is_punct(":")
                 && w[2].is_punct(":")
-                && w[3].is_ident("spawn")
+                && (w[3].is_ident("spawn") || w[3].is_ident("Builder"))
                 && !file.is_test_line(w[0].line)
             {
                 out.push(finding(
                     file,
                     self.id(),
                     w[0].line,
-                    "raw `thread::spawn`; use `vaer_linalg::runtime` so work keeps its deterministic shard order".into(),
+                    format!(
+                        "raw `thread::{}`; use `vaer_linalg::runtime` so work keeps its deterministic shard order",
+                        w[3].text
+                    ),
                 ));
             }
         }
@@ -698,6 +701,13 @@ mod tests {
             &Context::default(),
         );
         assert_eq!(f.len(), 1);
+        let f = run(
+            &DetThreadSpawn,
+            "fn f() { let _ = std::thread::Builder::new().spawn(|| {}); }",
+            &Context::default(),
+        );
+        assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("thread::Builder"), "{f:?}");
     }
 
     #[test]

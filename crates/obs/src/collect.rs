@@ -1,9 +1,9 @@
 //! Lock-sharded global collector for span and event records, plus the
 //! thread-local machinery behind span parenting and thread slots.
 //!
-//! Threads are assigned small sequential *slots* on first contact (the
-//! worker-pool threads of `vaer_linalg::runtime` are short-lived, so raw
-//! `ThreadId`s would be both unstable-API and unbounded). A thread's slot
+//! Threads are assigned small sequential *slots* on first contact (every
+//! thread that calls `vaer_linalg::runtime` starts workers of its own, so
+//! raw `ThreadId`s would be both unstable-API and unbounded). A thread's slot
 //! picks its collector shard, so recording threads rarely contend on the
 //! same mutex.
 

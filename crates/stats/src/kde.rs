@@ -11,6 +11,9 @@
 pub struct Kde {
     points: Vec<f32>,
     bandwidth: f32,
+    /// The largest density over the support points, the normaliser of
+    /// [`Kde::relative_density`]; computed once when the KDE is fitted.
+    peak: f32,
 }
 
 impl Kde {
@@ -36,10 +39,7 @@ impl Kde {
         let iqr = percentile(&sorted, 0.75) - percentile(&sorted, 0.25);
         let spread = if iqr > 0.0 { std.min(iqr / 1.34) } else { std };
         let bandwidth = (0.9 * spread * n.powf(-0.2)).max(1e-3);
-        Some(Self {
-            points: samples.to_vec(),
-            bandwidth,
-        })
+        Some(Self::with_points(samples.to_vec(), bandwidth))
     }
 
     /// Fits with an explicit bandwidth (must be positive).
@@ -51,10 +51,23 @@ impl Kde {
         if samples.is_empty() {
             return None;
         }
-        Some(Self {
-            points: samples.to_vec(),
+        Some(Self::with_points(samples.to_vec(), bandwidth))
+    }
+
+    /// The KDE over `points` with its relative-density peak: n density
+    /// evaluations over n points, paid here once instead of per query.
+    fn with_points(points: Vec<f32>, bandwidth: f32) -> Self {
+        let mut kde = Self {
+            points,
             bandwidth,
-        })
+            peak: 0.0,
+        };
+        kde.peak = kde
+            .points
+            .iter()
+            .map(|&p| kde.density(p))
+            .fold(0.0f32, f32::max);
+        kde
     }
 
     /// The bandwidth in use.
@@ -89,15 +102,10 @@ impl Kde {
     /// Density normalised so the modal support point scores ≈ 1; handy as
     /// a bounded likelihood score in the AL sampler.
     pub fn relative_density(&self, x: f32) -> f32 {
-        let peak = self
-            .points
-            .iter()
-            .map(|&p| self.density(p))
-            .fold(0.0f32, f32::max);
-        if peak <= f32::EPSILON {
+        if self.peak <= f32::EPSILON {
             0.0
         } else {
-            (self.density(x) / peak).min(1.0)
+            (self.density(x) / self.peak).min(1.0)
         }
     }
 }
@@ -162,6 +170,40 @@ mod tests {
             assert!((0.0..=1.0).contains(&r), "relative density {r} at {x}");
         }
         assert!(kde.relative_density(1.0) > kde.relative_density(5.0));
+    }
+
+    #[test]
+    fn cached_peak_matches_the_per_call_fold_bitwise() {
+        // The peak as `relative_density` folded it on every call.
+        let per_call = |kde: &Kde, x: f32| {
+            let peak = kde
+                .points
+                .iter()
+                .map(|&p| kde.density(p))
+                .fold(0.0f32, f32::max);
+            if peak <= f32::EPSILON {
+                0.0
+            } else {
+                (kde.density(x) / peak).min(1.0)
+            }
+        };
+        use rand::{RngExt, SeedableRng};
+        for seed in [1u64, 7, 42] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let samples: Vec<f32> = (0..200).map(|_| rng.random_range(0.0f32..3.0)).collect();
+            let fitted = Kde::fit(&samples).unwrap();
+            let fixed = Kde::with_bandwidth(&samples, 0.05).unwrap();
+            for kde in [&fitted, &fixed] {
+                for _ in 0..100 {
+                    let x = rng.random_range(-1.0f32..4.0);
+                    assert_eq!(
+                        kde.relative_density(x).to_bits(),
+                        per_call(kde, x).to_bits(),
+                        "seed {seed}, x {x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
