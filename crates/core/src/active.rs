@@ -15,7 +15,7 @@
 //! neighbours), which is the pairing the matcher ultimately has to judge.
 
 use crate::checkpoint::{put_rng_state, AlSession, Cur};
-use crate::entity::{EntityRepr, IrTable};
+use crate::entity::{mean_points, EntityRepr, IrTable};
 use crate::latent::LatentTable;
 use crate::matcher::{MatcherConfig, PairExamples, SiameseMatcher};
 use crate::repr::ReprModel;
@@ -79,9 +79,8 @@ pub fn bootstrap(
     // LSH over table B's concatenated means (lines 3–4); W₂ ranking is
     // sound on Euclidean candidates because the two are positively
     // correlated (paper §V-A).
-    let b_keys: Vec<Vec<f32>> = reprs_b.iter().map(EntityRepr::flat_mu).collect();
     let a_keys: Vec<Vec<f32>> = reprs_a.iter().map(EntityRepr::flat_mu).collect();
-    let index = E2Lsh::build_calibrated(b_keys, config.seed);
+    let index = E2Lsh::build_calibrated(mean_points(reprs_b), config.seed);
     let candidates = knn_join(&a_keys, &index, config.neighbours_k);
     // Score every candidate with the full W₂² (lines 11–12).
     let mut scored: Vec<((usize, usize), f32)> = candidates

@@ -1,5 +1,6 @@
 //! Entity-level representations: one Gaussian per attribute.
 
+use vaer_index::Points;
 use vaer_linalg::Matrix;
 use vaer_stats::gaussian::{w2_squared, DiagGaussian};
 
@@ -31,10 +32,11 @@ impl EntityRepr {
     /// LSH search, justified by the paper's observation that W₂ is
     /// positively correlated with the Euclidean distance of the means.
     pub fn flat_mu(&self) -> Vec<f32> {
-        self.attrs
-            .iter()
-            .flat_map(|g| g.mu.iter().copied())
-            .collect()
+        self.mu_values().collect()
+    }
+
+    fn mu_values(&self) -> impl Iterator<Item = f32> + '_ {
+        self.attrs.iter().flat_map(|g| g.mu.iter().copied())
     }
 
     /// Concatenated `(μ, σ)` sample via the reparameterisation trick — one
@@ -62,6 +64,17 @@ impl EntityRepr {
     pub fn mu_distance(&self, other: &EntityRepr) -> f32 {
         vaer_linalg::vector::euclidean(&self.flat_mu(), &other.flat_mu())
     }
+}
+
+/// The [`flat_mu`](EntityRepr::flat_mu) keys of a table as one flat point
+/// set, built without a vector per row: the input of the E2LSH index.
+pub(crate) fn mean_points(reprs: &[EntityRepr]) -> Points {
+    let dims = reprs.first().map_or(0, |r| r.mu_values().count());
+    let mut points = Points::with_capacity(dims, reprs.len());
+    for r in reprs {
+        points.push(r.mu_values());
+    }
+    points
 }
 
 /// Groups a flat batch of per-attribute Gaussians (row-major: tuple 0's

@@ -1006,6 +1006,32 @@ mod tests {
     }
 
     #[test]
+    fn link_stage_keeps_candidate_order_among_equal_probabilities() {
+        let cand = |l: usize, r: usize| CandidatePair {
+            left: l,
+            right: r,
+            distance: 0.0,
+        };
+        // Four 0.9 candidates contend for row 0 and column 1 behind a 0.6
+        // one: among the ties the earlier candidate links first and
+        // claims its row and column.
+        let candidates = vec![cand(2, 2), cand(0, 1), cand(3, 3), cand(0, 0), cand(1, 1)];
+        let probs = vec![0.6, 0.9, 0.9, 0.9, 0.9];
+        let mut stage = LinkStage { threshold: 0.5 };
+        let links = stage.run((candidates.clone(), probs.clone())).unwrap();
+        assert_eq!(links, vec![(0, 1, 0.9), (3, 3, 0.9), (2, 2, 0.6)]);
+        // Reversed candidates: the other ties win.
+        let reversed = (
+            candidates.into_iter().rev().collect(),
+            probs.into_iter().rev().collect(),
+        );
+        assert_eq!(
+            stage.run(reversed).unwrap(),
+            vec![(1, 1, 0.9), (0, 0, 0.9), (3, 3, 0.9), (2, 2, 0.6)]
+        );
+    }
+
+    #[test]
     fn block_and_score_artifacts_roundtrip() {
         let out = vec![
             CandidatePair {

@@ -2,7 +2,7 @@
 //! supervised Siamese matching, with per-stage timing (Table VI) and the
 //! blocking/representation reports of §VI-B.
 
-use crate::entity::{EntityRepr, IrTable};
+use crate::entity::{mean_points, EntityRepr, IrTable};
 use crate::evaluation::topk_eval_vae;
 use crate::exec::{self, ResolvePlan};
 use crate::latent::{self, LatentTable};
@@ -444,7 +444,7 @@ impl Pipeline {
         if let Some(index) = self.artifacts.index.get() {
             return Ok(index);
         }
-        let b_keys: Vec<Vec<f32>> = self.reprs_b.iter().map(EntityRepr::flat_mu).collect();
+        let b_keys = mean_points(&self.reprs_b);
         let mut stop = None;
         let mut probe = || match budget.probe("exec.block") {
             Ok(()) => false,
@@ -540,9 +540,8 @@ impl Pipeline {
     /// stay bit-identical to [`resolve`](Self::resolve) at the same
     /// `(k, threshold)`.
     pub fn resolve_reference(&self, k: usize, threshold: f32) -> Vec<(usize, usize, f32)> {
-        let b_keys: Vec<Vec<f32>> = self.reprs_b.iter().map(EntityRepr::flat_mu).collect();
         let a_keys: Vec<Vec<f32>> = self.reprs_a.iter().map(EntityRepr::flat_mu).collect();
-        let index = E2Lsh::build_calibrated(b_keys, self.config.seed ^ 0xB10C);
+        let index = E2Lsh::build_calibrated(mean_points(&self.reprs_b), self.config.seed ^ 0xB10C);
         let candidates = knn_join(&a_keys, &index, k);
         let pairs: PairSet = candidates
             .iter()

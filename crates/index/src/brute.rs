@@ -1,6 +1,8 @@
 //! Exact k-nearest-neighbour search by linear scan.
 
-use crate::join::Neighbor;
+use crate::join::CandidatePair;
+use crate::points::Points;
+use crate::rank::Ranker;
 use crate::KnnIndex;
 
 /// Exact Euclidean top-K search over an owned point set.
@@ -10,8 +12,7 @@ use crate::KnnIndex;
 /// hashing overhead isn't worth it.
 #[derive(Debug, Clone)]
 pub struct BruteForceKnn {
-    points: Vec<Vec<f32>>,
-    dims: usize,
+    points: Points,
 }
 
 impl BruteForceKnn {
@@ -19,18 +20,10 @@ impl BruteForceKnn {
     ///
     /// # Panics
     /// Panics if points have inconsistent dimensions.
-    pub fn build(points: Vec<Vec<f32>>) -> Self {
-        let dims = points.first().map_or(0, Vec::len);
-        // vaer-lint: allow(cancel-probe-coverage) -- dimension check pass bounded by point count at build time
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(
-                p.len(),
-                dims,
-                "point {i} has {} dims, expected {dims}",
-                p.len()
-            );
+    pub fn build(points: impl Into<Points>) -> Self {
+        Self {
+            points: points.into(),
         }
-        Self { points, dims }
     }
 }
 
@@ -39,42 +32,24 @@ impl KnnIndex for BruteForceKnn {
         self.points.len()
     }
 
-    ///
-    /// # Panics
-    /// Panics when `query`'s dimensionality differs from the indexed points.
-    fn knn(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        assert_eq!(
-            query.len(),
-            self.dims,
-            "query dims {} != index dims {}",
-            query.len(),
-            self.dims
-        );
-        let mut all: Vec<Neighbor> = self
-            .points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Neighbor {
-                index: i,
-                distance: sq_dist(query, p).sqrt(),
-            })
-            .collect();
-        all.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        all.truncate(k);
-        all
+    fn join(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        probe: &mut dyn FnMut() -> bool,
+    ) -> Option<Vec<CandidatePair>> {
+        let n = self.points.len();
+        let all: Vec<u32> = (0..n as u32).collect();
+        let mut ranker = Ranker::new(n);
+        let mut out = Vec::with_capacity(queries.len() * k.min(n));
+        for (left, query) in queries.iter().enumerate() {
+            if probe() {
+                return None;
+            }
+            ranker.rank(query, &self.points, &all, k, left, &mut out);
+        }
+        Some(out)
     }
-}
-
-#[inline]
-pub(crate) fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| (x - y) * (x - y))
-        .sum()
 }
 
 #[cfg(test)]

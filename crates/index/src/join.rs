@@ -28,7 +28,11 @@ pub struct CandidatePair {
 /// Joins every query vector against an index, keeping the top-`k`
 /// neighbours of each. This is the blocking step of §VI-B: pairs that
 /// never meet in a top-K list are never compared by the matcher.
-pub fn knn_join(queries: &[Vec<f32>], index: &dyn KnnIndex, k: usize) -> Vec<CandidatePair> {
+pub fn knn_join<Q: AsRef<[f32]>>(
+    queries: &[Q],
+    index: &dyn KnnIndex,
+    k: usize,
+) -> Vec<CandidatePair> {
     let mut probe = || false;
     knn_join_probed(queries, index, k, &mut probe).unwrap_or_default()
 }
@@ -37,26 +41,14 @@ pub fn knn_join(queries: &[Vec<f32>], index: &dyn KnnIndex, k: usize) -> Vec<Can
 /// row. Returning `true` from `probe` abandons the join and yields
 /// `None` (callers map this to their own cancellation/deadline error) —
 /// the partial candidate list is dropped, never returned.
-pub fn knn_join_probed(
-    queries: &[Vec<f32>],
+pub fn knn_join_probed<Q: AsRef<[f32]>>(
+    queries: &[Q],
     index: &dyn KnnIndex,
     k: usize,
     probe: &mut dyn FnMut() -> bool,
 ) -> Option<Vec<CandidatePair>> {
-    let mut out = Vec::with_capacity(queries.len() * k);
-    for (qi, q) in queries.iter().enumerate() {
-        if probe() {
-            return None;
-        }
-        for n in index.knn(q, k) {
-            out.push(CandidatePair {
-                left: qi,
-                right: n.index,
-                distance: n.distance,
-            });
-        }
-    }
-    Some(out)
+    let rows: Vec<&[f32]> = queries.iter().map(AsRef::as_ref).collect();
+    index.join(&rows, k, probe)
 }
 
 /// Memoises [`knn_join`] results per `k` over one immutable index.
@@ -67,16 +59,16 @@ pub fn knn_join_probed(
 /// both sides and stores each distinct `k`'s candidate list the first
 /// time it is requested.
 pub struct JoinCache<'a> {
-    queries: &'a [Vec<f32>],
+    queries: Vec<&'a [f32]>,
     index: &'a dyn KnnIndex,
     per_k: BTreeMap<usize, Vec<CandidatePair>>,
 }
 
 impl<'a> JoinCache<'a> {
     /// An empty cache over `queries` joined against `index`.
-    pub fn new(queries: &'a [Vec<f32>], index: &'a dyn KnnIndex) -> Self {
+    pub fn new<Q: AsRef<[f32]>>(queries: &'a [Q], index: &'a dyn KnnIndex) -> Self {
         Self {
-            queries,
+            queries: queries.iter().map(AsRef::as_ref).collect(),
             index,
             per_k: BTreeMap::new(),
         }
@@ -85,9 +77,8 @@ impl<'a> JoinCache<'a> {
     /// Top-`k` candidates for every query — computed on first request,
     /// served from the memo afterwards.
     pub fn candidates(&mut self, k: usize) -> &[CandidatePair] {
-        self.per_k
-            .entry(k)
-            .or_insert_with(|| knn_join(self.queries, self.index, k))
+        let mut never = || false;
+        self.candidates_probed(k, &mut never).unwrap_or_default()
     }
 
     /// [`candidates`](Self::candidates) with a cooperative stop probe
@@ -100,7 +91,7 @@ impl<'a> JoinCache<'a> {
         probe: &mut dyn FnMut() -> bool,
     ) -> Option<&[CandidatePair]> {
         if !self.per_k.contains_key(&k) {
-            let joined = knn_join_probed(self.queries, self.index, k, probe)?;
+            let joined = self.index.join(&self.queries, k, probe)?;
             self.per_k.insert(k, joined);
         }
         Some(&self.per_k[&k])
