@@ -1,10 +1,11 @@
 //! Micro-benchmarks of the hot kernels underneath every experiment:
 //! matmul, one VAE training step, the W₂² distance, KDE evaluation,
 //! LSH vs brute-force kNN, and one skip-gram epoch — plus a kernel
-//! report (single-thread 256³ GFLOP/s of the blocked f32 kernels,
-//! integer GOP/s of the int8 GEMM, the SIMD Wasserstein-feature kernel
-//! vs its scalar reference, and tape allocations per step) written to
-//! `BENCH_kernels.json` at the repo root.
+//! report (single-thread 256³ GFLOP/s of the blocked f32 kernels and at
+//! the shapes the fit runs, integer GOP/s of the int8 GEMM, the SIMD
+//! Wasserstein-feature kernel vs its scalar reference, and tape
+//! allocations per step) written to `BENCH_kernels.json` at the repo
+//! root.
 //!
 //! Uses the shared `vaer_bench::measure` harness (calibrated batches,
 //! median-of-samples) since the workspace carries no external bench
@@ -147,6 +148,99 @@ impl KernelLine {
     }
 }
 
+/// Which f32 product a kernel line times.
+#[derive(Clone, Copy)]
+enum Product {
+    /// `a (m×k) · b (k×n)`.
+    MatMul,
+    /// `aᵀ · b` with `a` `k×m` and `b` `k×n`.
+    TMatMul,
+    /// `a (m×k) · bᵀ` with `b` `n×k`.
+    MatMulT,
+}
+
+/// GFLOP/s of one blocked f32 product against its reference at
+/// `m × k × n` (an `m × n` output summed over `k`), on fresh Gaussian
+/// operands, at whatever thread count the caller set.
+fn product_line(
+    name: &'static str,
+    product: Product,
+    (m, k, n): (usize, usize, usize),
+    quick: bool,
+    rng: &mut XorShiftRng,
+) -> KernelLine {
+    let (samples, min_ms) = if quick { (3, 5) } else { (9, 30) };
+    let gflops = |secs: f64| 2.0 * (m * k * n) as f64 / secs / 1e9;
+    let time = |blocked: &dyn Fn() -> Matrix, reference: &dyn Fn() -> Matrix| {
+        (
+            gflops(median_secs(samples, min_ms, blocked)),
+            gflops(median_secs(samples, min_ms, reference)),
+        )
+    };
+    let (blocked_gflops, reference_gflops) = match product {
+        Product::MatMul => {
+            let a = Matrix::gaussian(m, k, rng);
+            let b = Matrix::gaussian(k, n, rng);
+            time(&|| a.matmul(black_box(&b)), &|| {
+                matmul_reference(black_box(&a), black_box(&b))
+            })
+        }
+        Product::TMatMul => {
+            let a = Matrix::gaussian(k, m, rng);
+            let b = Matrix::gaussian(k, n, rng);
+            time(&|| a.t_matmul(black_box(&b)), &|| {
+                t_matmul_reference(black_box(&a), black_box(&b))
+            })
+        }
+        Product::MatMulT => {
+            let a = Matrix::gaussian(m, k, rng);
+            let b = Matrix::gaussian(n, k, rng);
+            time(&|| a.matmul_t(black_box(&b)), &|| {
+                matmul_t_reference(black_box(&a), black_box(&b))
+            })
+        }
+    };
+    KernelLine {
+        name,
+        unit: "GFLOP/s",
+        blocked_gflops,
+        reference_gflops,
+    }
+}
+
+/// The products the fit and the Score block run, as `(name, product,
+/// (m, k, n))`: the matcher encoder's first layer forward (32 pairs ×
+/// 64 → 96), its weight gradient (64 × 96 over the 32 batch rows), a
+/// 96-wide product to a 32-wide output, and one Score block of 512 pairs
+/// through a 128 → 32 layer. Then the narrow outputs, which fill one
+/// zero-padded panel: the matcher's 32 → 1 head forward and its weight
+/// gradient, the Score block's head, and the `fast` config's 32 → 8
+/// latent head.
+const FIT_SHAPES: [(&str, Product, (usize, usize, usize)); 8] = [
+    ("matmul_32x64x96", Product::MatMul, (32, 64, 96)),
+    ("t_matmul_64x32x96", Product::TMatMul, (64, 32, 96)),
+    ("matmul_t_32x96x32", Product::MatMulT, (32, 96, 32)),
+    ("matmul_512x128x32", Product::MatMul, (512, 128, 32)),
+    ("matmul_32x32x1", Product::MatMul, (32, 32, 1)),
+    ("t_matmul_32x32x1", Product::TMatMul, (32, 32, 1)),
+    ("matmul_512x32x1", Product::MatMul, (512, 32, 1)),
+    ("matmul_32x32x8", Product::MatMul, (32, 32, 8)),
+];
+
+/// Single-thread throughput of the blocked f32 products against their
+/// references at [`FIT_SHAPES`]. Recorded for the kernel history, not
+/// asserted: a naive loop can keep up at a shape this small.
+fn fit_shape_report(quick: bool) -> Vec<KernelLine> {
+    let mut rng = XorShiftRng::new(11);
+    vaer_linalg::runtime::set_threads(1);
+    let lines = FIT_SHAPES
+        .iter()
+        .map(|&(name, product, shape)| product_line(name, product, shape, quick, &mut rng))
+        .collect();
+    vaer_linalg::runtime::set_threads(0);
+    lines
+}
+
 /// Single-thread 256³ throughput of the blocked matmul kernels and the
 /// int8 GEMM against their naive references, plus the fused SIMD
 /// Wasserstein-feature kernel against its scalar reference (5 ops per
@@ -155,36 +249,18 @@ fn kernel_report(quick: bool) -> Vec<KernelLine> {
     const N: usize = 256;
     let (samples, min_ms) = if quick { (3, 5) } else { (9, 30) };
     let mut rng = XorShiftRng::new(7);
+    vaer_linalg::runtime::set_threads(1);
+    let mut lines: Vec<KernelLine> = [
+        ("matmul", Product::MatMul),
+        ("matmul_t", Product::MatMulT),
+        ("t_matmul", Product::TMatMul),
+    ]
+    .into_iter()
+    .map(|(name, product)| product_line(name, product, (N, N, N), quick, &mut rng))
+    .collect();
     let a = Matrix::gaussian(N, N, &mut rng);
     let b = Matrix::gaussian(N, N, &mut rng);
     let gflops = |secs: f64| 2.0 * (N as f64).powi(3) / secs / 1e9;
-    vaer_linalg::runtime::set_threads(1);
-    let mut lines = vec![
-        KernelLine {
-            name: "matmul",
-            unit: "GFLOP/s",
-            blocked_gflops: gflops(median_secs(samples, min_ms, || a.matmul(black_box(&b)))),
-            reference_gflops: gflops(median_secs(samples, min_ms, || {
-                matmul_reference(black_box(&a), black_box(&b))
-            })),
-        },
-        KernelLine {
-            name: "matmul_t",
-            unit: "GFLOP/s",
-            blocked_gflops: gflops(median_secs(samples, min_ms, || a.matmul_t(black_box(&b)))),
-            reference_gflops: gflops(median_secs(samples, min_ms, || {
-                matmul_t_reference(black_box(&a), black_box(&b))
-            })),
-        },
-        KernelLine {
-            name: "t_matmul",
-            unit: "GFLOP/s",
-            blocked_gflops: gflops(median_secs(samples, min_ms, || a.t_matmul(black_box(&b)))),
-            reference_gflops: gflops(median_secs(samples, min_ms, || {
-                t_matmul_reference(black_box(&a), black_box(&b))
-            })),
-        },
-    ];
     // Int8 GEMM (quantized scoring fast lane): packed/blocked kernel vs
     // the naive triple loop, in integer GOP/s.
     let xq = QuantizedMatrix::quantize_per_row(&a);
@@ -297,7 +373,7 @@ fn kernel_json_path() -> std::path::PathBuf {
 
 /// Hand-rolled JSON for the kernel report (the workspace carries no
 /// serialisation dependency).
-fn write_kernel_json(lines: &[KernelLine], tape_secs: f64, tape_allocs: usize) {
+fn write_kernel_json(lines: &[&KernelLine], tape_secs: f64, tape_allocs: usize) {
     let mut json = String::from("{\n  \"matmul_n\": 256,\n  \"threads\": 1,\n  \"kernels\": {\n");
     for (i, l) in lines.iter().enumerate() {
         let sep = if i + 1 == lines.len() { "" } else { "," };
@@ -320,18 +396,29 @@ fn write_kernel_json(lines: &[KernelLine], tape_secs: f64, tape_allocs: usize) {
 /// Measures the observability tax on the hottest kernel: the 256³
 /// matmul at `VAER_OBS=off` (one relaxed atomic load per call) versus
 /// `VAER_OBS=summary` (counter adds + one histogram record per call).
+///
+/// The two levels' samples alternate (off, summary, off, …) and each
+/// side keeps its fastest, so a host speed change between the first and
+/// the last sample reaches both sides alike.
 fn obs_overhead_report(quick: bool, rec: &mut RunRecord) {
     const N: usize = 256;
-    let (samples, min_ms) = if quick { (3, 5) } else { (9, 30) };
+    let (samples, min_ms) = if quick { (5, 5) } else { (9, 30) };
     let mut rng = XorShiftRng::new(9);
     let a = Matrix::gaussian(N, N, &mut rng);
     let b = Matrix::gaussian(N, N, &mut rng);
     vaer_linalg::runtime::set_threads(1);
     let prev = vaer_obs::level();
-    vaer_obs::set_level(vaer_obs::Level::Off);
-    let off = median_secs(samples, min_ms, || a.matmul(black_box(&b)));
-    vaer_obs::set_level(vaer_obs::Level::Summary);
-    let summary = median_secs(samples, min_ms, || a.matmul(black_box(&b)));
+    let (mut off, mut summary) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..samples {
+        for (level, best) in [
+            (vaer_obs::Level::Off, &mut off),
+            (vaer_obs::Level::Summary, &mut summary),
+        ] {
+            vaer_obs::set_level(level);
+            let m = measure::steady_secs(1, min_ms, || a.matmul(black_box(&b)));
+            *best = best.min(m.min_secs);
+        }
+    }
     vaer_obs::set_level(prev);
     vaer_linalg::runtime::set_threads(0);
     println!(
@@ -473,10 +560,8 @@ fn alloc_overhead_report(quick: bool, rec: &mut RunRecord) {
     }
 }
 
-fn bench_kernels(quick: bool) -> RunRecord {
-    println!("\n-- kernel report (single thread, 256^3) --");
-    let lines = kernel_report(quick);
-    for l in &lines {
+fn print_kernel_lines(lines: &[KernelLine]) {
+    for l in lines {
         println!(
             "{:<28} {:>7.2} {} optimised | {:>7.2} {} reference | {:>5.2}x",
             l.name,
@@ -487,6 +572,15 @@ fn bench_kernels(quick: bool) -> RunRecord {
             l.speedup()
         );
     }
+}
+
+fn bench_kernels(quick: bool) -> RunRecord {
+    println!("\n-- kernel report (single thread, 256^3) --");
+    let lines = kernel_report(quick);
+    print_kernel_lines(&lines);
+    println!("-- kernel report (single thread, the fit's shapes m x k x n) --");
+    let shape_lines = fit_shape_report(quick);
+    print_kernel_lines(&shape_lines);
     let (tape_secs, tape_allocs) = tape_report(quick);
     println!(
         "{:<28} {:>9.3} µs/step, {} fresh allocs/step warm",
@@ -494,7 +588,8 @@ fn bench_kernels(quick: bool) -> RunRecord {
         tape_secs * 1e6,
         tape_allocs
     );
-    write_kernel_json(&lines, tape_secs, tape_allocs);
+    let all_lines: Vec<&KernelLine> = lines.iter().chain(&shape_lines).collect();
+    write_kernel_json(&all_lines, tape_secs, tape_allocs);
     if quick {
         // CI smoke: the blocked kernels must never lose to the textbook
         // loops, and a warm tape must not touch the heap.
@@ -511,8 +606,10 @@ fn bench_kernels(quick: bool) -> RunRecord {
     // Trimmed structured record of the kernel report. Cross-run GFLOP/s
     // regression verdicts are `vaer-report`'s job (it reads the history
     // this record joins, with a noise band learned from that history).
-    let mut rec = RunRecord::new("micro");
-    for l in &lines {
+    // Every recorded line ran on one thread (the tape's products are
+    // below the parallel cutoff), so the record says so at any width.
+    let mut rec = RunRecord::with_threads("micro", 1);
+    for l in &all_lines {
         rec.num(&format!("{}_blocked_gflops", l.name), l.blocked_gflops)
             .num(&format!("{}_speedup", l.name), l.speedup());
     }

@@ -28,14 +28,23 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Starts a record stamped with the shared run configuration.
+    /// Starts a record stamped with the shared run configuration, at the
+    /// process's worker width ([`vaer_linalg::runtime::threads`]).
     pub fn new(bench: &str) -> Self {
+        Self::with_threads(bench, vaer_linalg::runtime::threads())
+    }
+
+    /// Starts a record stamped with the shared run configuration, for a
+    /// bench whose recorded numbers were all measured at `threads`
+    /// workers whatever the process's width. `vaer-report` bands a
+    /// record only against records of the same `threads`.
+    pub fn with_threads(bench: &str, threads: usize) -> Self {
         let mut r = Self { fields: Vec::new() };
         r.str_field("bench", bench);
         r.int("schema_version", SCHEMA_VERSION);
         r.str_field("scale", &format!("{:?}", crate::scale_from_env()));
         r.int("seed", crate::seed_from_env());
-        r.int("threads", vaer_linalg::runtime::threads() as u64);
+        r.int("threads", threads as u64);
         r.str_field("obs", vaer_obs::level().name());
         r.bool_field("quick", crate::quick_from_env());
         let unix_secs = std::time::SystemTime::now()

@@ -9,11 +9,15 @@
 //! The implementation is deliberately simple and allocation-conscious:
 //! contiguous `Vec<f32>` storage, iterator-driven inner loops (so the
 //! compiler elides bounds checks), and cache-blocked, register-tiled
-//! matrix products (packed RHS panels + an `MR x NR` micro-kernel) that
-//! are bit-identical to the naive reference loops. The only `unsafe` in
-//! the crate is the feature-detection-guarded AVX2 dispatch of the
-//! matmul/int8-GEMM/distance-feature kernels ([`ops`](crate), [`quant`](crate),
-//! [`simd`](crate)).
+//! matrix products (packed 32-column RHS panels + a 4×32 `MR x NR`
+//! micro-kernel) that are bit-identical to the naive reference loops.
+//! The f32 micro-kernel is one scalar body compiled three times —
+//! AVX-512F, AVX2 and the baseline target — and dispatched to the widest
+//! tier the CPU has; no tier emits FMA, so all three produce the same
+//! bits. The only `unsafe` in the crate is the feature-detection-guarded
+//! SIMD dispatch of the matmul/int8-GEMM/distance-feature kernels
+//! ([`ops`](crate), [`quant`](crate), [`simd`](crate)) and the worker
+//! pool's lifetime erasure ([`runtime`]).
 //!
 //! The quantized inference fast lane adds [`QuantizedMatrix`] (int8
 //! symmetric per-row quantization), an exact-integer [`i8_matmul_t`]

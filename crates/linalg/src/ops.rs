@@ -41,7 +41,12 @@ pub const MR: usize = 4;
 
 /// Output columns per register tile of the blocked micro-kernel. One
 /// packed RHS panel is `NR` columns wide.
-pub const NR: usize = 8;
+///
+/// The `MR x NR` tile is `MR * NR / lanes` independent add chains: 4 rows
+/// × 2 zmm on AVX-512 and 4 × 4 ymm on AVX2. Each output element's adds
+/// stay in one serial chain over `p`, so only the number of chains in
+/// flight — what hides the add latency — depends on `NR`.
+pub const NR: usize = 32;
 
 /// Packs `b` (`k x n`) into `NR`-wide column panels: panel `t` holds
 /// columns `t*NR .. t*NR+NR`, laid out row-major over `p` with
@@ -90,18 +95,40 @@ fn pack_rhs_transposed(b: &Matrix) -> Vec<f32> {
 /// the same per-element accumulation order as the naive loops, which is
 /// what keeps the blocked kernels bit-identical to the references.
 ///
-/// Dispatches to an AVX2-compiled copy of the same body when the CPU
-/// supports it. The body is identical scalar code — AVX2 only widens
-/// the auto-vectorised lanes, and rustc never contracts `mul` + `add`
-/// into FMA, so every path produces bit-identical results.
+/// Dispatches to the widest compiled copy of the same body the CPU
+/// supports: AVX-512F, then AVX2, then the baseline target (SSE2 on
+/// x86_64). The body is identical scalar code in every tier — the
+/// target feature only widens the auto-vectorised lanes, and rustc never
+/// contracts `mul` + `add` into FMA, so every tier produces bit-identical
+/// results.
 fn microkernel(lhs: &[&[f32]], panel: &[f32], k: usize, acc: &mut [[f32; NR]; MR]) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime CPU feature detection; the function
-        // body contains no intrinsics, only code compiled for AVX2.
-        unsafe { microkernel_avx2(lhs, panel, k, acc) };
-        return;
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: guarded by runtime CPU feature detection; the
+            // function body contains no intrinsics, only code compiled
+            // for AVX-512F.
+            unsafe { microkernel_avx512(lhs, panel, k, acc) };
+            return;
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by runtime CPU feature detection; the
+            // function body contains no intrinsics, only code compiled
+            // for AVX2.
+            unsafe { microkernel_avx2(lhs, panel, k, acc) };
+            return;
+        }
     }
+    microkernel_body(lhs, panel, k, acc);
+}
+
+/// AVX-512F-compiled instantiation of [`microkernel_body`].
+// SAFETY: callable only when the CPU supports AVX-512F — `microkernel`
+// is the sole caller and gates on `is_x86_feature_detected!("avx512f")`.
+// The body is plain safe Rust; the attribute only changes codegen.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn microkernel_avx512(lhs: &[&[f32]], panel: &[f32], k: usize, acc: &mut [[f32; NR]; MR]) {
     microkernel_body(lhs, panel, k, acc);
 }
 
@@ -644,6 +671,53 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn simd_kernel_tiers_match_the_scalar_body_bitwise() {
+        // The dispatcher always picks the widest tier, so on an AVX-512
+        // host the AVX2 tier never runs through the public products;
+        // exercise each instantiation directly against the scalar body.
+        let mut rng = crate::XorShiftRng::new(0x7113);
+        for &live in &[1, NR - 1, NR] {
+            for &k in &[1, 3, 4, 5, 33] {
+                let a = Matrix::gaussian(MR, k, &mut rng);
+                let packed = pack_rhs(&Matrix::gaussian(k, live, &mut rng));
+                for mr in 1..=MR {
+                    let lhs: Vec<&[f32]> = (0..mr).map(|m| a.row(m)).collect();
+                    let mut want = [[0.0f32; NR]; MR];
+                    microkernel_body(&lhs, &packed, k, &mut want);
+                    let mut tiers = Vec::new();
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        let mut got = [[0.0f32; NR]; MR];
+                        // SAFETY: AVX2 presence checked on the line above;
+                        // the callee is the safe scalar body.
+                        unsafe { microkernel_avx2(&lhs, &packed, k, &mut got) };
+                        tiers.push(("avx2", got));
+                    }
+                    if std::arch::is_x86_feature_detected!("avx512f") {
+                        let mut got = [[0.0f32; NR]; MR];
+                        // SAFETY: AVX-512F presence checked on the line
+                        // above; the callee is the safe scalar body.
+                        unsafe { microkernel_avx512(&lhs, &packed, k, &mut got) };
+                        tiers.push(("avx512f", got));
+                    }
+                    for (tier, got) in tiers {
+                        let bits = |t: &[[f32; NR]; MR]| {
+                            t.iter()
+                                .flat_map(|row| row.map(f32::to_bits))
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(
+                            bits(&want),
+                            bits(&got),
+                            "{tier} tier diverged at mr={mr} k={k} live={live}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

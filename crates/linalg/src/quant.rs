@@ -240,8 +240,9 @@ impl QuantizedMatrix {
 }
 
 /// Panel width of the int8 GEMM: output columns per packed panel.
-/// Wider than the f32 [`NR`] because the AVX-512 VNNI micro-kernel
-/// keeps sixteen `i32` accumulator lanes per register.
+/// Sixteen, one `i32` accumulator register's worth for the AVX-512 VNNI
+/// micro-kernel; it shares only [`MR`] with the f32 tile, whose panels
+/// are [`NR`](crate::NR) columns wide.
 const NR_I8: usize = 16;
 
 /// Shared-dim positions interleaved per packed block — `vpdpbusd`

@@ -8,7 +8,8 @@
 //! The verdicts replace ad-hoc fixed-ratio gates (the old quick-mode
 //! "current ≥ 0.4× previous" check in the `micro` bench): each gated
 //! metric is compared against a **noise band** learned from its own
-//! history — `median ± max(4·MAD, 25%·|median|)` over the last N runs —
+//! history — `median ± max(4·MAD, 25%·|median|)` over the last N runs
+//! with the same `quick` flag and thread count —
 //! so a metric that legitimately swings 2× between container runs gets
 //! a wide band, while a stable metric gets a tight one. Fewer than three
 //! prior points yields an `insufficient history` verdict, which never
@@ -212,19 +213,33 @@ pub fn parse_jsonl(text: &str) -> Vec<JsonValue> {
         .collect()
 }
 
+/// The run configuration a record was measured under: its `quick` flag
+/// and worker `threads`. A missing field matches only a missing field.
+fn run_config(record: &JsonValue) -> (Option<&JsonValue>, Option<&JsonValue>) {
+    (record.get("quick"), record.get("threads"))
+}
+
 /// Judges every gated metric present in `records`. The newest record of
 /// each bench supplies the current value; up to `history` prior records
-/// supply the band.
+/// of the same bench **and run configuration** ([`run_config`]) supply
+/// the band, so a full-size or multi-threaded run is never judged
+/// against a quick single-threaded history, or the reverse.
 pub fn analyze(records: &[JsonValue], history: usize) -> Vec<MetricReport> {
     GATED_METRICS
         .iter()
         .filter_map(|spec| {
-            let series: Vec<f64> = records
+            let series: Vec<(&JsonValue, f64)> = records
                 .iter()
                 .filter(|r| r.get_str("bench") == Some(spec.bench))
-                .filter_map(|r| r.get_num(spec.key))
+                .filter_map(|r| Some((r, r.get_num(spec.key)?)))
                 .collect();
-            let (&current, past) = series.split_last()?;
+            let (&(newest, current), prior) = series.split_last()?;
+            let config = run_config(newest);
+            let past: Vec<f64> = prior
+                .iter()
+                .filter(|(r, _)| run_config(r) == config)
+                .map(|&(_, v)| v)
+                .collect();
             let window = &past[past.len().saturating_sub(history)..];
             let band = noise_band(window);
             Some(MetricReport {
@@ -548,6 +563,46 @@ mod tests {
                 .verdict,
             Verdict::Pass
         );
+    }
+
+    #[test]
+    fn analyze_bands_only_against_the_same_run_config() {
+        let run = |quick: bool, threads: f64, secs: f64| {
+            let mut r = record(
+                "resolve_stages",
+                &[("threads", threads), ("score_f32_secs", secs)],
+            );
+            if let JsonValue::Obj(members) = &mut r {
+                members.push(("quick".to_string(), JsonValue::Bool(quick)));
+            }
+            r
+        };
+        let verdict = |records: &[JsonValue]| {
+            let metrics = analyze(records, 20);
+            let m = metrics.iter().find(|m| m.key == "score_f32_secs").unwrap();
+            (m.verdict, m.history_len)
+        };
+        // Seven quick single-threaded runs, then a full-size two-thread
+        // run three times slower: it has no history of its own config.
+        let mut records: Vec<JsonValue> = (0..7)
+            .map(|i| run(true, 1.0, 0.25e-3 + 0.01e-3 * i as f64))
+            .collect();
+        records.push(run(false, 2.0, 0.92e-3));
+        assert_eq!(verdict(&records), (Verdict::Insufficient, 0));
+        // Neither the quick flag nor the thread count alone matches.
+        records.pop();
+        records.push(run(false, 1.0, 0.92e-3));
+        assert_eq!(verdict(&records), (Verdict::Insufficient, 0));
+        records.pop();
+        records.push(run(true, 2.0, 0.92e-3));
+        assert_eq!(verdict(&records), (Verdict::Insufficient, 0));
+        // A quick single-threaded run still sees its seven peers, across
+        // the other configs interleaved in the history.
+        records.push(run(true, 1.0, 0.26e-3));
+        assert_eq!(verdict(&records), (Verdict::Pass, 7));
+        records.pop();
+        records.push(run(true, 1.0, 0.92e-3));
+        assert_eq!(verdict(&records), (Verdict::Regression, 7));
     }
 
     #[test]
