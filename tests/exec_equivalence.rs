@@ -110,3 +110,35 @@ fn fit_and_resolve_are_deterministic_given_seed() {
     );
     assert_eq!(a.resolve(5, 0.5).unwrap(), b.resolve(5, 0.5).unwrap());
 }
+
+#[test]
+fn plan_rethreshold_edge_cases_reuse_the_memo_and_match_cold_runs() {
+    // The threshold sweep's edges on a fitted plan: t = 0 (every
+    // non-NaN candidate passes the cut), t = 1, a NaN t and a t just
+    // above the top probability (no candidate passes). Each re-run is a
+    // pure memo hit, links what a fresh plan's cold run links at that t,
+    // and clusters into |A| + |B| - links entities with singletons.
+    let ds = DomainSpec::new(Domain::Restaurants, Scale::Tiny).generate(29);
+    let pipeline = Pipeline::fit(&ds, &fast(29)).unwrap();
+    let rows = ds.table_a.len() + ds.table_b.len();
+    let k = 5;
+    let top = pipeline.resolve(k, 0.0).unwrap()[0].2;
+    let mut plan = pipeline.resolve_plan();
+    let cold = plan.run(k, 0.5).unwrap();
+    assert!(!cold.reused && cold.health.is_clean());
+    for t in [0.0, 1.0, f32::NAN, top.next_up()] {
+        let rerun = plan.run(k, t).unwrap();
+        assert!(rerun.reused, "t {t}: not a memo hit");
+        assert!(rerun.health.is_clean(), "t {t}: {:?}", rerun.health);
+        let fresh = pipeline.resolve_plan().run(k, t).unwrap();
+        assert!(!fresh.reused);
+        assert_eq!(rerun.links, fresh.links, "t {t}");
+        if t.is_nan() || t > top {
+            assert!(rerun.links.is_empty(), "t {t}: {:?}", rerun.links);
+        } else if t == 0.0 {
+            assert!(!rerun.links.is_empty(), "t = 0 linked nothing");
+        }
+        let entities = plan.entities(k, t, true).unwrap();
+        assert_eq!(entities.len(), rows - rerun.links.len(), "t {t}");
+    }
+}
