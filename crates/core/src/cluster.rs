@@ -6,8 +6,6 @@
 //! entity. This module provides the standard union-find consolidation
 //! over the matcher's links, with cluster-level reporting.
 
-use std::collections::BTreeMap;
-
 /// A row identifier across the two input tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RowId {
@@ -97,7 +95,13 @@ impl EntityCluster {
 /// Consolidates `(a_row, b_row)` links into entity clusters over tables of
 /// `len_a` / `len_b` rows. Rows with no links become singleton clusters
 /// only if `include_singletons` is set. Clusters are returned largest
-/// first, ties broken by smallest member.
+/// first, ties broken by smallest member; members ascend, A rows first.
+///
+/// Two dense passes over the rows and no comparison sort. Pass 1 numbers
+/// the clusters in smallest-member order and counts their members; a
+/// counting sort on size then gives each cluster its output slot and
+/// exact capacity (equal sizes keep their numbering order); pass 2 pushes
+/// every kept row into its cluster in ascending row order.
 ///
 /// # Errors
 /// [`crate::CoreError::BadInput`] when a link references a row outside
@@ -109,6 +113,7 @@ pub fn cluster_links(
     len_b: usize,
     include_singletons: bool,
 ) -> Result<Vec<EntityCluster>, crate::CoreError> {
+    const UNSET: usize = usize::MAX;
     let total = len_a + len_b;
     let mut uf = UnionFind::new(total);
     // vaer-lint: allow(cancel-probe-coverage) -- union-find pass bounded by the link count handed in by the caller
@@ -120,37 +125,62 @@ pub fn cluster_links(
         }
         uf.union(a, len_a + b);
     }
-    let mut groups: BTreeMap<usize, Vec<RowId>> = BTreeMap::new();
-    let mut linked = vec![false; total];
-    for &(a, b) in links {
-        linked[a] = true;
-        linked[len_a + b] = true;
-    }
-    // vaer-lint: allow(cancel-probe-coverage) -- grouping pass bounded by total row count
-    for (x, &is_linked) in linked.iter().enumerate() {
-        if !include_singletons && !is_linked {
+    // Pass 1: a cluster is numbered at its root when its smallest member
+    // is reached. A link always joins two rows, so a row is unlinked
+    // exactly when its set has one member.
+    let mut cluster_of = vec![UNSET; total];
+    let mut sizes: Vec<usize> = Vec::new();
+    // vaer-lint: allow(cancel-probe-coverage) -- numbering pass bounded by total row count
+    for x in 0..total {
+        let root = uf.find(x);
+        if !include_singletons && uf.size[root] == 1 {
             continue;
         }
-        let root = uf.find(x);
+        if cluster_of[root] == UNSET {
+            cluster_of[root] = sizes.len();
+            sizes.push(0);
+        }
+        cluster_of[x] = cluster_of[root];
+        sizes[cluster_of[root]] += 1;
+    }
+    // Counting sort on size, largest first: `first[s]` counts the
+    // clusters of size `s`, then becomes the next free slot among them.
+    let largest = sizes.iter().copied().max().unwrap_or(0);
+    let mut first = vec![0usize; largest + 1];
+    // vaer-lint: allow(cancel-probe-coverage) -- counting pass bounded by the cluster count
+    for &s in &sizes {
+        first[s] += 1;
+    }
+    let mut clusters = Vec::with_capacity(sizes.len());
+    // vaer-lint: allow(cancel-probe-coverage) -- slot pass bounded by the largest cluster size
+    for s in (1..=largest).rev() {
+        let count = first[s];
+        first[s] = clusters.len();
+        clusters.extend((0..count).map(|_| EntityCluster {
+            members: Vec::with_capacity(s),
+        }));
+    }
+    // Each cluster's size becomes its slot, in numbering order.
+    let mut slot = sizes;
+    // vaer-lint: allow(cancel-probe-coverage) -- slot pass bounded by the cluster count
+    for s in &mut slot {
+        let at = first[*s];
+        first[*s] += 1;
+        *s = at;
+    }
+    // Pass 2: ascending rows put A rows before B rows in every cluster.
+    // vaer-lint: allow(cancel-probe-coverage) -- member pass bounded by total row count
+    for (x, &c) in cluster_of.iter().enumerate() {
+        if c == UNSET {
+            continue;
+        }
         let id = if x < len_a {
             RowId::A(x)
         } else {
             RowId::B(x - len_a)
         };
-        groups.entry(root).or_default().push(id);
+        clusters[slot[c]].members.push(id);
     }
-    let mut clusters: Vec<EntityCluster> = groups
-        .into_values()
-        .map(|mut members| {
-            members.sort();
-            EntityCluster { members }
-        })
-        .collect();
-    clusters.sort_by(|x, y| {
-        y.len()
-            .cmp(&x.len())
-            .then_with(|| x.members.first().cmp(&y.members.first()))
-    });
     Ok(clusters)
 }
 

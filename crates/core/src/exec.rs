@@ -623,17 +623,52 @@ impl Stage for LinkStage {
         // NaN-free by construction, so partial_cmp is total here; the
         // stable sort keeps candidate order among equal probabilities.
         links.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-        let mut used_a = std::collections::BTreeSet::new();
-        let mut used_b = std::collections::BTreeSet::new();
-        links.retain(|&(a, b, _)| {
-            if used_a.contains(&a) || used_b.contains(&b) {
-                return false;
+        let mut used_a = UsedRows::new(links.len());
+        let mut used_b = UsedRows::new(links.len());
+        links.retain(|&(a, b, _)| match (used_a.find(a), used_b.find(b)) {
+            (Err(slot_a), Err(slot_b)) => {
+                used_a.slots[slot_a] = Some(a);
+                used_b.slots[slot_b] = Some(b);
+                true
             }
-            used_a.insert(a);
-            used_b.insert(b);
-            true
+            _ => false,
         });
         Ok(links)
+    }
+}
+
+/// The rows one side of [`LinkStage`] has linked: an open-addressed table
+/// of at least twice as many slots as there are survivors of the cut, so
+/// it is at most half full and its size follows the survivors, never the
+/// largest row id (any `usize` is a row).
+struct UsedRows {
+    slots: Vec<Option<usize>>,
+    /// `64 - log2(slots.len())`: a hash's top bits pick the home slot.
+    shift: u32,
+}
+
+impl UsedRows {
+    fn new(survivors: usize) -> Self {
+        let len = (2 * survivors).next_power_of_two().max(2);
+        Self {
+            slots: vec![None; len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// `Ok` with `row`'s slot when it is marked, else `Err` with the free
+    /// slot that marks it (the convention of `slice::binary_search`).
+    fn find(&self, row: usize) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = ((row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        // vaer-lint: allow(cancel-probe-coverage) -- linear probe bounded by the table length; the table is at most half full
+        loop {
+            match self.slots[i] {
+                None => return Err(i),
+                Some(r) if r == row => return Ok(i),
+                Some(_) => i = (i + 1) & mask,
+            }
+        }
     }
 }
 
