@@ -337,3 +337,334 @@ mod tests {
         assert_eq!(f.rows(), 0);
     }
 }
+
+/// Golden digests of Algorithm 1 and the top-K report over latent caches
+/// built straight from seeded matrices: no model, no training, no worker
+/// count. Each case folds `bootstrap`'s positives, negatives and pool, the
+/// `topk_eval_vae` reports at several `k` and the `recall_at_k_vae`
+/// values into FNV-1a digests. They were recorded while bootstrap and the
+/// report still read per-tuple copies of the caches, so any change to the
+/// candidate join, the W₂² keys, their fold order, tie order among equal
+/// keys (equal-W₂ cases below), the seed split or the report's
+/// retrieval rule shows up here. No input holds a NaN.
+#[cfg(test)]
+mod golden {
+    use super::LatentTable;
+    use crate::active::{bootstrap, BootstrapConfig};
+    use crate::evaluation::{recall_at_k_vae, topk_eval_vae};
+    use crate::repr::fnv1a;
+    use vaer_data::{LabeledPair, PairSet};
+    use vaer_linalg::{Matrix, XorShiftRng};
+
+    /// A cache over seeded `(μ, σ)` rows. The first `dups` tuples copy
+    /// `like`'s with a little noise; `grid` rounds every value to a coarse
+    /// grid so that many W₂² keys tie exactly.
+    fn cache(
+        n: usize,
+        arity: usize,
+        dim: usize,
+        rng: &mut XorShiftRng,
+        like: Option<(&LatentTable, usize)>,
+        grid: bool,
+    ) -> LatentTable {
+        let rows = n * arity;
+        let mut mu = Matrix::gaussian(rows, dim, rng);
+        let mut sigma = Matrix::uniform(rows, dim, 0.05, 1.0, rng);
+        if let Some((src, dups)) = like {
+            for row in 0..dups.min(n) * arity {
+                for j in 0..dim {
+                    mu.set(row, j, src.mu.get(row, j) + 0.1 * rng.gaussian());
+                    sigma.set(row, j, src.sigma.get(row, j));
+                }
+            }
+        }
+        if grid {
+            mu = mu.map(|x| (x * 2.0).round() / 2.0);
+            sigma = sigma.map(|s| if s < 0.5 { 0.25 } else { 0.5 });
+        }
+        LatentTable {
+            arity,
+            mu,
+            sigma,
+            fingerprint: 0,
+        }
+    }
+
+    fn words(out: &mut Vec<u8>, pairs: &[(usize, usize)]) -> u64 {
+        out.clear();
+        out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+        for &(l, r) in pairs {
+            out.extend_from_slice(&(l as u64).to_le_bytes());
+            out.extend_from_slice(&(r as u64).to_le_bytes());
+        }
+        fnv1a(out)
+    }
+
+    struct Case {
+        name: &'static str,
+        sizes: (usize, usize),
+        arity: usize,
+        dim: usize,
+        seed: u64,
+        grid: bool,
+        config: BootstrapConfig,
+        /// `(positives, negatives, pool, top-K reports, recall@K)`.
+        want: [u64; 5],
+    }
+
+    fn small_config() -> BootstrapConfig {
+        BootstrapConfig {
+            neighbours_k: 3,
+            seeds_per_class: 4,
+            seed: 7,
+        }
+    }
+
+    #[test]
+    fn bootstrap_and_topk_reports_match_recorded_digests() {
+        let cases = [
+            Case {
+                name: "40x40 arity 2",
+                sizes: (40, 40),
+                arity: 2,
+                dim: 8,
+                seed: 1,
+                grid: false,
+                config: BootstrapConfig::default(),
+                want: [
+                    0x4f06_e967_7562_274a,
+                    0xc8de_114a_0a0b_21ee,
+                    0xbbb5_fbc4_c689_2319,
+                    0x10d1_53f3_ef50_08d0,
+                    0x3e51_a653_6678_e71d,
+                ],
+            },
+            Case {
+                name: "25x60 arity 3",
+                sizes: (25, 60),
+                arity: 3,
+                dim: 4,
+                seed: 2,
+                grid: false,
+                config: small_config(),
+                want: [
+                    0x0d0d_b4a3_18a8_7e41,
+                    0xd357_3836_c76a_1bfe,
+                    0xe3be_dfda_4a2e_1f32,
+                    0xb8bd_8bf5_b71f_575b,
+                    0x0bb2_84a6_85d2_4c73,
+                ],
+            },
+            Case {
+                name: "equal-W2 ties",
+                sizes: (30, 30),
+                arity: 1,
+                dim: 2,
+                seed: 3,
+                grid: true,
+                config: BootstrapConfig::default(),
+                want: [
+                    0x8cb8_ca06_a054_b4ea,
+                    0x16b5_cc30_5f5c_29c1,
+                    0x4b86_9736_d864_e33a,
+                    0x116d_ed99_dd06_1861,
+                    0x5c08_dd26_5c68_3f94,
+                ],
+            },
+            Case {
+                name: "equal-W2 ties, arity 2",
+                sizes: (24, 36),
+                arity: 2,
+                dim: 1,
+                seed: 4,
+                grid: true,
+                config: small_config(),
+                want: [
+                    0xf56c_ddc1_5b74_ae81,
+                    0x26e7_fdea_a490_497c,
+                    0xf065_d539_5511_f5c0,
+                    0x0df6_ecaa_4b76_4d01,
+                    0x1014_fc78_0d49_4432,
+                ],
+            },
+            Case {
+                name: "k above rows",
+                sizes: (7, 5),
+                arity: 2,
+                dim: 6,
+                seed: 5,
+                grid: false,
+                config: BootstrapConfig::default(),
+                want: [
+                    0xd1f1_a3a7_2943_4a08,
+                    0xfb7d_ff1f_0b88_0ae8,
+                    0xda70_fa98_eaaf_528b,
+                    0x41a7_328a_db48_52b6,
+                    0x2680_d869_7d09_a245,
+                ],
+            },
+            Case {
+                name: "1x1",
+                sizes: (1, 1),
+                arity: 2,
+                dim: 4,
+                seed: 6,
+                grid: false,
+                config: BootstrapConfig::default(),
+                want: [
+                    0xa8c7_f832_281a_39c5,
+                    0xa8c7_f832_281a_39c5,
+                    0x5b2a_969b_42d2_38a4,
+                    0x631b_06ec_c693_5c75,
+                    0x526f_b645_bbd3_f295,
+                ],
+            },
+            Case {
+                name: "empty B",
+                sizes: (5, 0),
+                arity: 2,
+                dim: 4,
+                seed: 7,
+                grid: false,
+                config: BootstrapConfig::default(),
+                want: [
+                    0xa8c7_f832_281a_39c5,
+                    0xa8c7_f832_281a_39c5,
+                    0xa8c7_f832_281a_39c5,
+                    0xf87b_38c6_cf34_ac55,
+                    0xee85_fafd_354b_0935,
+                ],
+            },
+            Case {
+                name: "empty A",
+                sizes: (0, 5),
+                arity: 2,
+                dim: 4,
+                seed: 8,
+                grid: false,
+                config: BootstrapConfig::default(),
+                want: [
+                    0xa8c7_f832_281a_39c5,
+                    0xa8c7_f832_281a_39c5,
+                    0xa8c7_f832_281a_39c5,
+                    0xf87b_38c6_cf34_ac55,
+                    0xee85_fafd_354b_0935,
+                ],
+            },
+            Case {
+                name: "0x0",
+                sizes: (0, 0),
+                arity: 3,
+                dim: 4,
+                seed: 9,
+                grid: false,
+                config: small_config(),
+                want: [
+                    0xa8c7_f832_281a_39c5,
+                    0xa8c7_f832_281a_39c5,
+                    0xa8c7_f832_281a_39c5,
+                    0xf87b_38c6_cf34_ac55,
+                    0xee85_fafd_354b_0935,
+                ],
+            },
+        ];
+        let mut bytes = Vec::new();
+        let mut mismatches = Vec::new();
+        for case in &cases {
+            let mut rng = XorShiftRng::new(case.seed);
+            let (n_a, n_b) = case.sizes;
+            let lat_a = cache(n_a, case.arity, case.dim, &mut rng, None, case.grid);
+            let dups = (n_a.min(n_b) * 2).div_ceil(3);
+            let lat_b = cache(
+                n_b,
+                case.arity,
+                case.dim,
+                &mut rng,
+                Some((&lat_a, dups)),
+                case.grid,
+            );
+            if case.grid {
+                // Guard: on the grid, most W₂² keys repeat (exact sums of
+                // squares of a few grid steps).
+                let width = case.arity * case.dim;
+                let key = |l: usize, r: usize| {
+                    let (a, b) = (l * width..(l + 1) * width, r * width..(r + 1) * width);
+                    let mu = lat_a.mu.as_slice()[a.clone()]
+                        .iter()
+                        .zip(&lat_b.mu.as_slice()[b.clone()]);
+                    let sigma = lat_a.sigma.as_slice()[a]
+                        .iter()
+                        .zip(&lat_b.sigma.as_slice()[b]);
+                    mu.chain(sigma).map(|(x, y)| (x - y) * (x - y)).sum::<f32>()
+                };
+                let keys: std::collections::BTreeSet<u32> = (0..n_a)
+                    .flat_map(|l| (0..n_b).map(move |r| (l, r)))
+                    .map(|(l, r)| key(l, r).to_bits())
+                    .collect();
+                assert!(keys.len() * 4 < n_a * n_b, "{}: too few ties", case.name);
+            }
+            let (ents_a, ents_b) = (lat_a.entities(), lat_b.entities());
+            let boot = bootstrap(&ents_a, &ents_b, &case.config);
+
+            // Labelled pairs: the noisy duplicates, then seeded pairs of
+            // either class anywhere in range (none when a table is empty).
+            let mut duplicates: Vec<(usize, usize)> = (0..dups).map(|i| (i, i)).collect();
+            let mut test: PairSet = duplicates
+                .iter()
+                .map(|&(l, r)| LabeledPair {
+                    left: l,
+                    right: r,
+                    is_match: true,
+                })
+                .collect();
+            if n_a > 0 && n_b > 0 {
+                for _ in 0..n_a.max(n_b) {
+                    let (l, r) = (rng.below(n_a), rng.below(n_b));
+                    let is_match = rng.below(4) == 0;
+                    test.pairs.push(LabeledPair {
+                        left: l,
+                        right: r,
+                        is_match,
+                    });
+                    if is_match {
+                        duplicates.push((l, r));
+                    }
+                }
+            }
+            let ks = [0, 1, 3, 10, n_a.max(n_b) + 5];
+            bytes.clear();
+            for &k in &ks {
+                let report = topk_eval_vae(&ents_a, &ents_b, &test, k);
+                for v in [report.recall, report.precision, report.f1] {
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+            }
+            let topk = fnv1a(&bytes);
+            bytes.clear();
+            for &k in &ks {
+                let recall = recall_at_k_vae(&ents_a, &ents_b, &duplicates, k);
+                bytes.extend_from_slice(&recall.to_bits().to_le_bytes());
+            }
+            let recall = fnv1a(&bytes);
+            let got = [
+                words(&mut bytes, &boot.positives),
+                words(&mut bytes, &boot.negatives),
+                words(&mut bytes, &boot.pool),
+                topk,
+                recall,
+            ];
+            println!(
+                "{}: {} (pos {}, neg {}, pool {})",
+                case.name,
+                got.map(|d| format!("{d:#018x}")).join(", "),
+                boot.positives.len(),
+                boot.negatives.len(),
+                boot.pool.len()
+            );
+            if got != case.want {
+                mismatches.push(case.name);
+            }
+        }
+        assert!(mismatches.is_empty(), "digests moved: {mismatches:?}");
+    }
+}
