@@ -39,14 +39,11 @@ fn main() {
                 ..ReprConfig::default()
             };
             let (repr, _) = ReprModel::train(&all, &config).expect("VAE");
-            let reprs_a = LatentTable::encode(&repr, &irs_a).entities();
-            let reprs_b = LatentTable::encode(&repr, &irs_b).entities();
-            recalls.push(fmt_metric(recall_at_k_vae(
-                &reprs_a,
-                &reprs_b,
-                &ds.duplicates,
-                10,
-            )));
+            let lat_a = LatentTable::encode(&repr, &irs_a);
+            let lat_b = LatentTable::encode(&repr, &irs_b);
+            let recall = recall_at_k_vae(&lat_a, &lat_b, &ds.duplicates, 10)
+                .expect("duplicates index both tables");
+            recalls.push(fmt_metric(recall));
             let train = PairExamples::build(&irs_a, &irs_b, &ds.train_pairs);
             let test = PairExamples::build(&irs_a, &irs_b, &ds.test_pairs);
             let f1 = SiameseMatcher::train(

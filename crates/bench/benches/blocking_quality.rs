@@ -9,7 +9,6 @@
 use vaer_bench::{
     banner, dataset, domains_from_env, fit_repr_bundle, scale_from_env, seed_from_env,
 };
-use vaer_core::entity::EntityRepr;
 use vaer_embed::IrKind;
 use vaer_index::{knn_join, E2Lsh};
 
@@ -24,9 +23,8 @@ fn main() {
     for domain in domains_from_env() {
         let ds = dataset(domain, scale, seed);
         let bundle = fit_repr_bundle(&ds, IrKind::Lsa, 64, seed);
-        let a_keys: Vec<Vec<f32>> = bundle.reprs_a.iter().map(EntityRepr::flat_mu).collect();
-        let b_keys: Vec<Vec<f32>> = bundle.reprs_b.iter().map(EntityRepr::flat_mu).collect();
-        let index = E2Lsh::build_calibrated(b_keys, seed ^ 0xB10C);
+        let a_keys = bundle.lat_a.mu_rows();
+        let index = E2Lsh::build_calibrated(bundle.lat_b.mu_points(), seed ^ 0xB10C);
         let cross = ds.table_a.len() * ds.table_b.len();
         for k in [5usize, 10, 20] {
             let candidates = knn_join(&a_keys, &index, k);

@@ -30,7 +30,8 @@ fn main() {
         let bundle = fit_repr_bundle(&ds, IrKind::Lsa, 64, seed);
         print!("{:<8}", ds.name);
         for k in ks {
-            let r = recall_at_k_vae(&bundle.reprs_a, &bundle.reprs_b, &ds.duplicates, k);
+            let r = recall_at_k_vae(&bundle.lat_a, &bundle.lat_b, &ds.duplicates, k)
+                .expect("duplicates index both tables");
             print!(" {:>7}", fmt_metric(r));
         }
         println!();

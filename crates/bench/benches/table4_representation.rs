@@ -31,8 +31,10 @@ fn main() {
             .expect("known domain");
         for (ki, kind) in IrKind::ALL.into_iter().enumerate() {
             let bundle = fit_repr_bundle(&ds, kind, 64, seed ^ (ki as u64) << 8);
-            let ir = topk_eval_irs(&bundle.irs_a, &bundle.irs_b, &ds.test_pairs, k);
-            let vae = topk_eval_vae(&bundle.reprs_a, &bundle.reprs_b, &ds.test_pairs, k);
+            let ir = topk_eval_irs(&bundle.irs_a, &bundle.irs_b, &ds.test_pairs, k)
+                .expect("test pairs index both tables");
+            let vae = topk_eval_vae(&bundle.lat_a, &bundle.lat_b, &ds.test_pairs, k)
+                .expect("test pairs index both tables");
             let (pp_ir, pp_vae, pr_ir, pr_vae, pf_ir, pf_vae) = TABLE_IV[di][ki];
             println!(
                 "{:<8} {:<6} | {:>4}/{:<4} ({:>4}/{:<4})   | {:>4}/{:<4} ({:>4}/{:<4})   | {:>4}/{:<4} ({:>4}/{:<4})",

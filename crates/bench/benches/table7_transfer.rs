@@ -44,13 +44,17 @@ fn main() {
         let ds = adapt_dataset_arity(&raw, source_arity);
         // Local model: trained on this domain's own (arity-adapted) IRs.
         let local = Pipeline::fit(&ds, &config).expect("local pipeline");
-        let local_recall = local.recall_at_k(&ds.duplicates, 10);
+        let local_recall = local
+            .recall_at_k(&ds.duplicates, 10)
+            .expect("duplicates index both tables");
         let local_f1 = local.evaluate(&ds.test_pairs).f1;
         // Transferred model: no representation training at all.
         let transferred = Pipeline::fit_transferred(&ds, &config, transferred_repr.clone())
             .expect("transferred pipeline");
         assert_eq!(transferred.timings().repr_secs, 0.0);
-        let transf_recall = transferred.recall_at_k(&ds.duplicates, 10);
+        let transf_recall = transferred
+            .recall_at_k(&ds.duplicates, 10)
+            .expect("duplicates index both tables");
         let transf_f1 = transferred.evaluate(&ds.test_pairs).f1;
         let p = TABLE_VII[di];
         println!(

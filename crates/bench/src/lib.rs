@@ -17,7 +17,7 @@ pub mod measure;
 pub mod paper;
 pub mod run_record;
 
-use vaer_core::entity::{EntityRepr, IrTable};
+use vaer_core::entity::IrTable;
 use vaer_core::latent::LatentTable;
 use vaer_core::repr::{ReprConfig, ReprModel};
 use vaer_data::domains::{Domain, DomainSpec, Scale};
@@ -72,8 +72,7 @@ pub fn dataset(domain: Domain, scale: Scale, seed: u64) -> Dataset {
 
 /// IR + VAE pipeline front-end shared by the representation experiments:
 /// fits the IR model of `kind`, encodes both tables, trains the VAE, and
-/// returns the IR tables, the model, and both tables' entity
-/// representations.
+/// returns the IR tables, the model, and both tables' latent caches.
 pub struct ReprBundle {
     /// IR table of table A.
     pub irs_a: IrTable,
@@ -85,10 +84,6 @@ pub struct ReprBundle {
     pub lat_a: LatentTable,
     /// Cached latent encodings of table B (one encoder pass).
     pub lat_b: LatentTable,
-    /// Entity representations of table A.
-    pub reprs_a: Vec<EntityRepr>,
-    /// Entity representations of table B.
-    pub reprs_b: Vec<EntityRepr>,
     /// IR fit+encode seconds.
     pub ir_secs: f64,
     /// VAE training seconds.
@@ -115,21 +110,16 @@ pub fn fit_repr_bundle(ds: &Dataset, kind: IrKind, ir_dim: usize, seed: u64) -> 
     let all = irs_a.irs.vconcat(&irs_b.irs);
     let (repr, _) = ReprModel::train(&all, &config).expect("VAE training failed"); // vaer-lint: allow(panic) -- bench setup; abort loudly if the model cannot train
     let repr_secs = t1.elapsed().as_secs_f64();
-    // One encoder pass per table; entity representations are derived from
-    // the caches, and downstream experiments reuse them instead of
-    // re-encoding.
+    // One encoder pass per table; downstream experiments read the caches
+    // instead of re-encoding.
     let lat_a = LatentTable::encode(&repr, &irs_a);
     let lat_b = LatentTable::encode(&repr, &irs_b);
-    let reprs_a = lat_a.entities();
-    let reprs_b = lat_b.entities();
     ReprBundle {
         irs_a,
         irs_b,
         repr,
         lat_a,
         lat_b,
-        reprs_a,
-        reprs_b,
         ir_secs,
         repr_secs,
     }
@@ -208,7 +198,7 @@ mod tests {
         let ds = dataset(Domain::Restaurants, Scale::Tiny, 1);
         let bundle = fit_repr_bundle(&ds, IrKind::Lsa, 16, 1);
         assert_eq!(bundle.irs_a.len(), ds.table_a.len());
-        assert_eq!(bundle.reprs_b.len(), ds.table_b.len());
+        assert_eq!(bundle.lat_b.len(), ds.table_b.len());
         assert!(bundle.repr_secs > 0.0);
     }
 

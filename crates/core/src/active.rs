@@ -15,7 +15,7 @@
 //! neighbours), which is the pairing the matcher ultimately has to judge.
 
 use crate::checkpoint::{put_rng_state, AlSession, Cur};
-use crate::entity::{mean_points, EntityRepr, IrTable};
+use crate::entity::IrTable;
 use crate::latent::LatentTable;
 use crate::matcher::{MatcherConfig, PairExamples, SiameseMatcher};
 use crate::repr::ReprModel;
@@ -27,6 +27,7 @@ use vaer_index::{knn_join, E2Lsh};
 use vaer_stats::entropy::binary_entropy;
 use vaer_stats::kde::Kde;
 use vaer_stats::metrics::PrF1;
+use vaer_stats::nan_last;
 
 /// Algorithm 1 configuration.
 #[derive(Debug, Clone)]
@@ -59,41 +60,34 @@ pub struct Bootstrap {
     pub positives: Vec<(usize, usize)>,
     /// W₂-furthest candidate pairs (assumed non-duplicates).
     pub negatives: Vec<(usize, usize)>,
-    /// Remaining unlabeled candidates, each with its W₂² distance.
+    /// Remaining unlabeled candidates, in ascending W₂² order.
     pub pool: Vec<(usize, usize)>,
 }
 
-/// Runs Algorithm 1 over the entity representations of the two tables.
-pub fn bootstrap(
-    reprs_a: &[EntityRepr],
-    reprs_b: &[EntityRepr],
-    config: &BootstrapConfig,
-) -> Bootstrap {
-    if reprs_a.is_empty() || reprs_b.is_empty() {
+/// Runs Algorithm 1 over the latent caches of the two tables. A candidate
+/// whose W₂² is NaN (a non-finite latent) ranks nowhere and is dropped,
+/// as Link drops NaN probabilities.
+pub fn bootstrap(lat_a: &LatentTable, lat_b: &LatentTable, config: &BootstrapConfig) -> Bootstrap {
+    if lat_a.is_empty() || lat_b.is_empty() {
         return Bootstrap {
             positives: Vec::new(),
             negatives: Vec::new(),
             pool: Vec::new(),
         };
     }
-    // LSH over table B's concatenated means (lines 3–4); W₂ ranking is
-    // sound on Euclidean candidates because the two are positively
-    // correlated (paper §V-A).
-    let a_keys: Vec<Vec<f32>> = reprs_a.iter().map(EntityRepr::flat_mu).collect();
-    let index = E2Lsh::build_calibrated(mean_points(reprs_b), config.seed);
-    let candidates = knn_join(&a_keys, &index, config.neighbours_k);
-    // Score every candidate with the full W₂² (lines 11–12).
+    // LSH over table B's μ rows (lines 3–4); W₂ ranking is sound on
+    // Euclidean candidates because the two are positively correlated
+    // (paper §V-A).
+    let index = E2Lsh::build_calibrated(lat_b.mu_points(), config.seed);
+    let candidates = knn_join(&lat_a.mu_rows(), &index, config.neighbours_k);
+    // Score every candidate with the full W₂² (lines 11–12). A join never
+    // repeats a pair.
     let mut scored: Vec<((usize, usize), f32)> = candidates
         .iter()
-        .map(|c| {
-            (
-                (c.left, c.right),
-                reprs_a[c.left].w2_squared(&reprs_b[c.right]),
-            )
-        })
+        .map(|c| ((c.left, c.right), lat_a.w2_squared(c.left, lat_b, c.right)))
+        .filter(|&(_, w2)| !w2.is_nan())
         .collect();
-    scored.sort_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal));
-    scored.dedup_by(|a, b| a.0 == b.0);
+    scored.sort_by(|x, y| nan_last(x.1, y.1));
     let n = scored.len();
     let k = config.seeds_per_class.min(n / 3);
     let positives: Vec<(usize, usize)> = scored[..k].iter().map(|&(p, _)| p).collect();
@@ -176,8 +170,6 @@ pub struct ActiveLearner<'a> {
     irs_b: &'a IrTable,
     lat_a: LatentTable,
     lat_b: LatentTable,
-    reprs_a: Vec<EntityRepr>,
-    reprs_b: Vec<EntityRepr>,
     pool: Vec<(usize, usize)>,
     labeled_pos: Vec<(usize, usize)>,
     labeled_neg: Vec<(usize, usize)>,
@@ -222,9 +214,7 @@ impl<'a> ActiveLearner<'a> {
             !lat_a.is_stale(repr) && !lat_b.is_stale(repr),
             "latent caches must match the representation model"
         );
-        let reprs_a = lat_a.entities();
-        let reprs_b = lat_b.entities();
-        let boot = bootstrap(&reprs_a, &reprs_b, &config.bootstrap);
+        let boot = bootstrap(&lat_a, &lat_b, &config.bootstrap);
         let rng = rand::rngs::StdRng::seed_from_u64(config.seed);
         Self {
             repr,
@@ -232,8 +222,6 @@ impl<'a> ActiveLearner<'a> {
             irs_b,
             lat_a,
             lat_b,
-            reprs_a,
-            reprs_b,
             pool: boot.pool,
             labeled_pos: boot.positives,
             labeled_neg: boot.negatives,
@@ -292,14 +280,12 @@ impl<'a> ActiveLearner<'a> {
                 "snapshot was taken under different representation weights".into(),
             ));
         }
-        let reprs_a = lat_a.entities();
-        let reprs_b = lat_b.entities();
         for &(l, r) in st.pool.iter().chain(&st.labeled_pos).chain(&st.labeled_neg) {
-            if l >= reprs_a.len() || r >= reprs_b.len() {
+            if l >= lat_a.len() || r >= lat_b.len() {
                 return Err(CoreError::Checkpoint(format!(
                     "snapshot pair ({l}, {r}) is out of range for tables of {} x {} entities",
-                    reprs_a.len(),
-                    reprs_b.len()
+                    lat_a.len(),
+                    lat_b.len()
                 )));
             }
         }
@@ -310,8 +296,6 @@ impl<'a> ActiveLearner<'a> {
             irs_b,
             lat_a,
             lat_b,
-            reprs_a,
-            reprs_b,
             pool: st.pool,
             labeled_pos: st.labeled_pos,
             labeled_neg: st.labeled_neg,
@@ -439,10 +423,12 @@ impl<'a> ActiveLearner<'a> {
         }
         let mut distances =
             Vec::with_capacity(self.labeled_pos.len() * self.config.kde_samples_per_pair);
+        let mut zs = vec![0.0; self.lat_a.arity() * self.lat_a.latent_dim()];
+        let mut zt = vec![0.0; self.lat_b.arity() * self.lat_b.latent_dim()];
         for &(l, r) in &self.labeled_pos {
             for _ in 0..self.config.kde_samples_per_pair {
-                let zs = self.reprs_a[l].sample_flat(&mut self.rng);
-                let zt = self.reprs_b[r].sample_flat(&mut self.rng);
+                self.lat_a.sample_into(l, &mut self.rng, &mut zs);
+                self.lat_b.sample_into(r, &mut self.rng, &mut zt);
                 distances.push(vaer_linalg::vector::euclidean(&zs, &zt));
             }
         }
@@ -689,7 +675,7 @@ impl<'a> ActiveLearner<'a> {
             .map(|(i, &(l, r))| {
                 let p = probs[i];
                 let h = binary_entropy(p);
-                let d = self.reprs_a[l].mu_distance(&self.reprs_b[r]);
+                let d = vaer_linalg::vector::euclidean(self.lat_a.mu_row(l), self.lat_b.mu_row(r));
                 let f = kde.as_ref().map_or(0.5, |k| k.relative_density(d));
                 (i, h, f, p > 0.5)
             })
@@ -703,7 +689,7 @@ impl<'a> ActiveLearner<'a> {
                     .filter(|&&(i, _, _, pos)| pos == positive && !chosen.contains(&i))
                     .map(|&(i, h, f, _)| (i, score(h, f)))
                     .collect();
-                ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+                ranked.sort_by(|a, b| nan_last(a.1, b.1));
                 for &(i, _) in ranked.iter().take(per_kind) {
                     chosen.push(i);
                 }
@@ -968,9 +954,9 @@ mod tests {
     #[test]
     fn bootstrap_seeds_are_mostly_correct() {
         let w = world(40, 1);
-        let reprs_a = crate::entity::group_entities(w.repr.encode(&w.a.irs), 2);
-        let reprs_b = crate::entity::group_entities(w.repr.encode(&w.b.irs), 2);
-        let boot = bootstrap(&reprs_a, &reprs_b, &BootstrapConfig::default());
+        let lat_a = LatentTable::encode(&w.repr, &w.a);
+        let lat_b = LatentTable::encode(&w.repr, &w.b);
+        let boot = bootstrap(&lat_a, &lat_b, &BootstrapConfig::default());
         assert!(!boot.positives.is_empty());
         assert!(!boot.negatives.is_empty());
         let dup: std::collections::HashSet<_> = w.duplicates.iter().copied().collect();
@@ -984,8 +970,50 @@ mod tests {
 
     #[test]
     fn bootstrap_empty_inputs() {
-        let boot = bootstrap(&[], &[], &BootstrapConfig::default());
+        let empty = LatentTable::from_matrices(2, Matrix::zeros(0, 4), Matrix::zeros(0, 4));
+        let boot = bootstrap(&empty, &empty, &BootstrapConfig::default());
         assert!(boot.positives.is_empty() && boot.pool.is_empty());
+    }
+
+    #[test]
+    fn bootstrap_drops_nan_keys_and_orders_the_rest() {
+        // A NaN μ coordinate (what +∞ IR values encode to) makes every W₂²
+        // of that tuple NaN. Such candidates rank nowhere, and positives,
+        // pool and negatives together keep ascending keys.
+        let key = |lat_a: &LatentTable, lat_b: &LatentTable, (l, r): (usize, usize)| {
+            lat_a.w2_squared(l, lat_b, r)
+        };
+        for seed in 0..50 {
+            let mut rng = XorShiftRng::new(seed);
+            let mut lat = |n: usize| {
+                let mut mu = Matrix::gaussian(2 * n, 4, &mut rng);
+                for row in 0..2 * n {
+                    if rng.below(5) == 0 {
+                        mu.set(row, rng.below(4), f32::NAN);
+                    }
+                }
+                LatentTable::from_matrices(2, mu, Matrix::uniform(2 * n, 4, 0.1, 1.0, &mut rng))
+            };
+            let (lat_a, lat_b) = (lat(30), lat(30));
+            let boot = bootstrap(&lat_a, &lat_b, &BootstrapConfig::default());
+            let ranked: Vec<(usize, usize)> = boot
+                .positives
+                .iter()
+                .chain(&boot.pool)
+                .chain(&boot.negatives)
+                .copied()
+                .collect();
+            assert!(!ranked.is_empty(), "seed {seed}");
+            let keys: Vec<f32> = ranked.iter().map(|&p| key(&lat_a, &lat_b, p)).collect();
+            assert!(
+                keys.iter().all(|k| !k.is_nan()),
+                "seed {seed}: NaN key kept"
+            );
+            assert!(
+                keys.windows(2).all(|w| w[0] <= w[1]),
+                "seed {seed}: {keys:?}"
+            );
+        }
     }
 
     #[test]

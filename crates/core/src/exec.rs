@@ -751,7 +751,7 @@ impl<'p> ResolvePlan<'p> {
         Self {
             pipeline,
             executor,
-            blocks: JoinCache::new(pipeline.query_keys(), pipeline.blocking_index()),
+            blocks: JoinCache::new(pipeline.lat_a.mu_rows(), pipeline.blocking_index()),
             scored: BTreeMap::new(),
         }
     }
@@ -959,8 +959,8 @@ impl<'p> ResolvePlan<'p> {
         let links: Vec<(usize, usize)> = resolution.links.iter().map(|&(a, b, _)| (a, b)).collect();
         self.executor.run(
             &mut ClusterStage {
-                len_a: self.pipeline.reprs_a.len(),
-                len_b: self.pipeline.reprs_b.len(),
+                len_a: self.pipeline.lat_a.len(),
+                len_b: self.pipeline.lat_b.len(),
                 include_singletons,
             },
             links,

@@ -1,4 +1,5 @@
-//! The frozen-encoder latent cache.
+//! The frozen-encoder latent cache: the one in-memory form of a table's
+//! encodings.
 //!
 //! Encoding a candidate pool through the VAE encoder is the dominant
 //! repeated cost of the active-learning loop: every iteration used to
@@ -6,9 +7,8 @@
 //! features, and re-seed the bootstrap structures. But the
 //! representation model is *frozen* after unsupervised training (Fig. 1
 //! decouples the stages), so its `(μ, σ)` outputs per IR row never
-//! change. A [`LatentTable`] materialises them once per table and is
-//! then reused by the AL loop, pipeline resolution, and the matcher's
-//! Wasserstein-feature construction.
+//! change. A [`LatentTable`] materialises them once per table, and every
+//! consumer reads its rows in place: no per-tuple copy exists.
 //!
 //! # Lifecycle
 //!
@@ -17,8 +17,11 @@
 //!    records the model's [`fingerprint`](crate::repr::ReprModel::fingerprint).
 //! 2. **Reuse** — index into the cached `(μ, σ)` rows:
 //!    [`attr_rows`](LatentTable::attr_rows) for matcher features,
-//!    [`entities`](LatentTable::entities) for bootstrap/KDE structures,
-//!    [`distance_features`] for the matcher's Distance layer.
+//!    [`distance_features`] for the matcher's Distance layer, and the
+//!    tuples' μ rows ([`mu_rows`](LatentTable::mu_rows),
+//!    [`mu_points`](LatentTable::mu_points)) for the blocking and
+//!    bootstrap joins and the top-K report, which also rank by the cached
+//!    Eq. 3 W₂²; Algorithm 2 draws its Eq. 6 samples from the same rows.
 //! 3. **Invalidate** — the cache is valid only for the weights it was
 //!    built from. [`LatentTable::is_stale`] compares fingerprints;
 //!    [`LatentTable::refresh`] re-encodes when a transferred or
@@ -29,11 +32,12 @@
 //! tape ops of [`SiameseMatcher`](crate::matcher::SiameseMatcher)
 //! expression for expression.
 
-use crate::entity::{EntityRepr, IrTable};
+use crate::entity::IrTable;
 use crate::matcher::DistanceKind;
 use crate::repr::ReprModel;
+use vaer_index::Points;
 use vaer_linalg::{distance_row, DistanceOp, Matrix};
-use vaer_stats::gaussian::DiagGaussian;
+use vaer_stats::gaussian::{standard_normal, w2_squared_slices};
 
 /// Cached `(μ, σ)` encodings of one table's IR rows, in IR-row order
 /// (`tuples · arity` rows, tuple-major — the [`IrTable`] layout).
@@ -117,21 +121,58 @@ impl LatentTable {
         (self.mu.select_rows(&rows), self.sigma.select_rows(&rows))
     }
 
-    /// Reconstructs per-tuple [`EntityRepr`]s (bootstrap, KDE sampling,
-    /// and the retrieval reports consume this form) without touching the
-    /// encoder.
-    pub fn entities(&self) -> Vec<EntityRepr> {
-        (0..self.len())
-            .map(|t| {
-                let attrs = (0..self.arity)
-                    .map(|a| {
-                        let row = t * self.arity + a;
-                        DiagGaussian::new(self.mu.row(row).to_vec(), self.sigma.row(row).to_vec())
-                    })
-                    .collect();
-                EntityRepr::new(attrs)
+    /// Where tuple `t`'s `arity · latent_dim` values sit in the
+    /// tuple-major `mu` and `sigma` data.
+    fn tuple_span(&self, t: usize) -> std::ops::Range<usize> {
+        let width = self.arity * self.latent_dim();
+        t * width..(t + 1) * width
+    }
+
+    /// Tuple `t`'s μ row: its attributes' means side by side, one slice
+    /// of the cache. Blocking and Algorithm 1 search on it, since W₂
+    /// grows with the Euclidean distance of the means (paper §V-A).
+    ///
+    /// # Panics
+    /// Panics when `t` is not below [`len`](Self::len).
+    pub(crate) fn mu_row(&self, t: usize) -> &[f32] {
+        &self.mu.as_slice()[self.tuple_span(t)]
+    }
+
+    /// Every tuple's μ row (its attributes' means side by side, one slice
+    /// of the cache), in tuple order: the queries of a join.
+    pub fn mu_rows(&self) -> Vec<&[f32]> {
+        (0..self.len()).map(|t| self.mu_row(t)).collect()
+    }
+
+    /// The μ rows copied into an index point set.
+    pub fn mu_points(&self) -> Points {
+        Points::from(&self.mu_rows()[..])
+    }
+
+    /// The W₂² between tuple `l` of this table and tuple `r` of `other`:
+    /// Eq. 3 per attribute, summed over the attributes in order.
+    pub(crate) fn w2_squared(&self, l: usize, other: &LatentTable, r: usize) -> f32 {
+        (0..self.arity)
+            .map(|a| {
+                let (s, t) = (l * self.arity + a, r * other.arity + a);
+                w2_squared_slices(
+                    (self.mu.row(s), self.sigma.row(s)),
+                    (other.mu.row(t), other.sigma.row(t)),
+                )
             })
-            .collect()
+            .sum()
+    }
+
+    /// Writes one reparameterised sample of tuple `t`, `μ + σ ⊙ ε` over
+    /// all its attributes (Eq. 6), into `out`, drawing `ε` in row order.
+    pub(crate) fn sample_into<R: rand::Rng>(&self, t: usize, rng: &mut R, out: &mut [f32]) {
+        let span = self.tuple_span(t);
+        let rows = self.mu.as_slice()[span.clone()]
+            .iter()
+            .zip(&self.sigma.as_slice()[span]);
+        for (z, (&m, &s)) in out.iter_mut().zip(rows) {
+            *z = m + s * standard_normal(rng);
+        }
     }
 }
 
@@ -219,6 +260,19 @@ mod tests {
     use crate::repr::ReprConfig;
     use vaer_linalg::XorShiftRng;
 
+    impl LatentTable {
+        /// A cache over given `(μ, σ)` rows (`tuples · arity` each), for
+        /// tests that need exact latents without a model.
+        pub(crate) fn from_matrices(arity: usize, mu: Matrix, sigma: Matrix) -> Self {
+            Self {
+                arity,
+                mu,
+                sigma,
+                fingerprint: 0,
+            }
+        }
+    }
+
     fn toy_table(n_tuples: usize, arity: usize, ir_dim: usize, seed: u64) -> IrTable {
         let mut rng = XorShiftRng::new(seed);
         IrTable::new(arity, Matrix::gaussian(n_tuples * arity, ir_dim, &mut rng))
@@ -236,14 +290,18 @@ mod tests {
         let lat = LatentTable::encode(&model, &table);
         assert_eq!(lat.len(), 12);
         assert_eq!(lat.arity(), 2);
-        let direct = model.encode(&table.irs);
-        let ents = lat.entities();
-        assert_eq!(ents.len(), 12);
-        for (t, ent) in ents.iter().enumerate() {
-            for (a, g) in ent.attrs.iter().enumerate() {
-                assert_eq!(g.mu, direct[t * 2 + a].mu, "mu tuple {t} attr {a}");
-                assert_eq!(g.sigma, direct[t * 2 + a].sigma, "sigma tuple {t} attr {a}");
-            }
+        // A tuple's μ row is its attributes' encoder rows side by side.
+        let (mu, _) = model.encode_matrices(&table.irs);
+        let width = 2 * lat.latent_dim();
+        let rows = lat.mu_rows();
+        assert_eq!(rows.len(), 12);
+        for (t, row) in rows.iter().enumerate() {
+            assert_eq!(
+                *row,
+                &mu.as_slice()[t * width..(t + 1) * width],
+                "tuple {t}"
+            );
+            assert_eq!(lat.mu_points().row(t), *row, "point {t}");
         }
         // attr_rows agrees with encoding the gathered IR rows directly.
         let tuples = [3usize, 0, 7];
@@ -251,6 +309,47 @@ mod tests {
         let (dmu, dsigma) = model.encode_matrices(&table.attr_rows(&tuples, 1));
         assert_eq!(mu.as_slice(), dmu.as_slice());
         assert_eq!(sigma.as_slice(), dsigma.as_slice());
+    }
+
+    #[test]
+    fn w2_and_samples_keep_the_per_attribute_gaussian_arithmetic() {
+        use rand::SeedableRng;
+        use vaer_stats::gaussian::{w2_squared, DiagGaussian};
+        let (ta, tb) = (toy_table(6, 3, 8, 11), toy_table(5, 3, 8, 12));
+        let model = toy_model(&ta);
+        let (la, lb) = (
+            LatentTable::encode(&model, &ta),
+            LatentTable::encode(&model, &tb),
+        );
+        // One Gaussian per attribute row, as the paper writes a tuple.
+        let gaussians = |lat: &LatentTable, t: usize| -> Vec<DiagGaussian> {
+            (t * lat.arity..(t + 1) * lat.arity)
+                .map(|row| DiagGaussian::new(lat.mu.row(row).to_vec(), lat.sigma.row(row).to_vec()))
+                .collect()
+        };
+        for l in 0..la.len() {
+            for r in 0..lb.len() {
+                let (ga, gb) = (gaussians(&la, l), gaussians(&lb, r));
+                let want: f32 = ga.iter().zip(&gb).map(|(p, q)| w2_squared(p, q)).sum();
+                assert_eq!(
+                    la.w2_squared(l, &lb, r).to_bits(),
+                    want.to_bits(),
+                    "({l}, {r})"
+                );
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut twin = rand::rngs::StdRng::seed_from_u64(5);
+        let mut z = vec![0.0; la.mu_row(0).len()];
+        for t in [2, 0, 5, 2] {
+            la.sample_into(t, &mut rng, &mut z);
+            let want: Vec<f32> = gaussians(&la, t)
+                .iter()
+                .flat_map(|g| g.sample(&mut twin))
+                .collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&z), bits(&want), "tuple {t}");
+        }
     }
 
     #[test]
@@ -332,7 +431,7 @@ mod tests {
         let lat = LatentTable::encode(&model, &table);
         assert!(lat.is_empty());
         assert_eq!(lat.len(), 0);
-        assert!(lat.entities().is_empty());
+        assert!(lat.mu_rows().is_empty() && lat.mu_points().is_empty());
         let f = distance_features(DistanceKind::W2, &lat, &lat, &[]);
         assert_eq!(f.rows(), 0);
     }
@@ -382,12 +481,7 @@ mod golden {
             mu = mu.map(|x| (x * 2.0).round() / 2.0);
             sigma = sigma.map(|s| if s < 0.5 { 0.25 } else { 0.5 });
         }
-        LatentTable {
-            arity,
-            mu,
-            sigma,
-            fingerprint: 0,
-        }
+        LatentTable::from_matrices(arity, mu, sigma)
     }
 
     fn words(out: &mut Vec<u8>, pairs: &[(usize, usize)]) -> u64 {
@@ -603,8 +697,7 @@ mod golden {
                     .collect();
                 assert!(keys.len() * 4 < n_a * n_b, "{}: too few ties", case.name);
             }
-            let (ents_a, ents_b) = (lat_a.entities(), lat_b.entities());
-            let boot = bootstrap(&ents_a, &ents_b, &case.config);
+            let boot = bootstrap(&lat_a, &lat_b, &case.config);
 
             // Labelled pairs: the noisy duplicates, then seeded pairs of
             // either class anywhere in range (none when a table is empty).
@@ -634,7 +727,7 @@ mod golden {
             let ks = [0, 1, 3, 10, n_a.max(n_b) + 5];
             bytes.clear();
             for &k in &ks {
-                let report = topk_eval_vae(&ents_a, &ents_b, &test, k);
+                let report = topk_eval_vae(&lat_a, &lat_b, &test, k).unwrap();
                 for v in [report.recall, report.precision, report.f1] {
                     bytes.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
@@ -642,7 +735,7 @@ mod golden {
             let topk = fnv1a(&bytes);
             bytes.clear();
             for &k in &ks {
-                let recall = recall_at_k_vae(&ents_a, &ents_b, &duplicates, k);
+                let recall = recall_at_k_vae(&lat_a, &lat_b, &duplicates, k).unwrap();
                 bytes.extend_from_slice(&recall.to_bits().to_le_bytes());
             }
             let recall = fnv1a(&bytes);

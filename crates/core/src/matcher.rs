@@ -188,7 +188,7 @@ enum PairFeatures {
     Raw(PairExamples),
 }
 
-/// Candidate pairs [`SiameseMatcher::score_pairs`] scores per block:
+/// Candidate pairs `SiameseMatcher::score_pairs` scores per block:
 /// bounds the transient feature matrix at `SCORE_BLOCK x
 /// (arity·latent)` however many candidates blocking produced. Scoring
 /// is row-independent, so the chunked result is bit-identical to a
@@ -784,7 +784,7 @@ impl SiameseMatcher {
     }
 
     /// Builds the int8 inference twin of this matcher
-    /// ([`QuantizedMatcher`](crate::quant::QuantizedMatcher)) by
+    /// ([`QuantizedMatcher`]) by
     /// quantizing the MLP weights per output channel and calibrating
     /// per-layer activation scales from an f32 forward pass over
     /// `calibration` (typically the matcher's own training features).

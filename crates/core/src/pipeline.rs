@@ -2,8 +2,8 @@
 //! supervised Siamese matching, with per-stage timing (Table VI) and the
 //! blocking/representation reports of §VI-B.
 
-use crate::entity::{mean_points, EntityRepr, IrTable};
-use crate::evaluation::topk_eval_vae;
+use crate::entity::IrTable;
+use crate::evaluation::{check_pairs, recall_at_k_vae, topk_eval_vae};
 use crate::exec::{self, ResolvePlan};
 use crate::latent::{self, LatentTable};
 use crate::matcher::{MatcherConfig, PairExamples, SiameseMatcher};
@@ -136,18 +136,6 @@ impl Timings {
     }
 }
 
-/// Lazily built resolution artifacts shared by every [`ResolvePlan`] (and
-/// `resolve` call) over one fitted pipeline: the flattened blocking keys
-/// of table A and the E2Lsh index over table B's. The latents are frozen
-/// once fitting ends, so both are built at most once per pipeline —
-/// `exec.index.builds` counts exactly one build however many times
-/// resolution runs.
-#[derive(Default)]
-struct PlanArtifacts {
-    keys_a: OnceLock<Vec<Vec<f32>>>,
-    index: OnceLock<E2Lsh>,
-}
-
 /// A fitted end-to-end VAER pipeline.
 pub struct Pipeline {
     ir_model: Box<dyn IrModel>,
@@ -161,15 +149,17 @@ pub struct Pipeline {
     /// Both tables encoded through the fine-tuned matcher's encoder;
     /// `None` while the encoder is frozen.
     tuned: Option<(LatentTable, LatentTable)>,
-    pub(crate) reprs_a: Vec<EntityRepr>,
-    pub(crate) reprs_b: Vec<EntityRepr>,
     timings: Timings,
     repr_stats: ReprTrainStats,
     pub(crate) config: PipelineConfig,
     /// Content stamp of the fit (IR tables, VAE and matcher weights,
     /// seed) that checkpointed plan artifacts are keyed by.
     pub(crate) stamp: u64,
-    artifacts: PlanArtifacts,
+    /// The E2Lsh blocking index over table B's μ rows, shared by every
+    /// [`ResolvePlan`] and `resolve` call. The latents are frozen once
+    /// fitting ends, so it is built at most once per pipeline:
+    /// `exec.index.builds` counts one build however often resolution runs.
+    index: OnceLock<E2Lsh>,
 }
 
 impl Pipeline {
@@ -280,8 +270,8 @@ impl Pipeline {
         };
         // The representation model is frozen from here on: encode each
         // table once into a latent cache via the executor's Encode stage;
-        // entity representations, matcher features, and resolution all
-        // read from it.
+        // matcher features, blocking, resolution and the reports all read
+        // its rows.
         let mut executor = exec::Executor::new();
         executor.set_budget(budget.clone());
         let encode = |repr: &ReprModel, table: &IrTable| {
@@ -289,8 +279,6 @@ impl Pipeline {
         };
         let lat_a = encode(&repr, &irs_a)?;
         let lat_b = encode(&repr, &irs_b)?;
-        let reprs_a = lat_a.entities();
-        let reprs_b = lat_b.entities();
         drop(stage);
 
         // Stage 3: supervised matching, with Algorithm-1-style auto-labelled
@@ -361,8 +349,6 @@ impl Pipeline {
             lat_a,
             lat_b,
             tuned,
-            reprs_a,
-            reprs_b,
             timings: Timings {
                 ir_secs,
                 repr_secs,
@@ -371,7 +357,7 @@ impl Pipeline {
             repr_stats,
             config: config.clone(),
             stamp,
-            artifacts: PlanArtifacts::default(),
+            index: OnceLock::new(),
         })
     }
 
@@ -384,12 +370,7 @@ impl Pipeline {
     /// [`CoreError::Io`] when a `vaer-fault` failpoint injects an error
     /// into the Score stage.
     pub fn predict(&self, pairs: &PairSet) -> Result<Vec<f32>, CoreError> {
-        let (len_a, len_b) = (self.reprs_a.len(), self.reprs_b.len());
-        let out_of_range = |p: &LabeledPair| p.left >= len_a || p.right >= len_b;
-        if pairs.pairs.iter().any(out_of_range) {
-            let why = format!("a pair is out of range for tables of {len_a} x {len_b} rows");
-            return Err(CoreError::BadInput(why));
-        }
+        check_pairs(pairs, (self.lat_a.len(), self.lat_b.len()))?;
         let idx: Vec<(usize, usize)> = pairs.pairs.iter().map(|p| (p.left, p.right)).collect();
         exec::Executor::new().run(
             &mut exec::FusedScoreStage {
@@ -413,17 +394,27 @@ impl Pipeline {
 
     /// Table IV right-hand columns: top-K retrieval quality of the VAE
     /// representations.
-    pub fn representation_report(&self, pairs: &PairSet, k: usize) -> TopKReport {
-        topk_eval_vae(&self.reprs_a, &self.reprs_b, pairs, k)
+    ///
+    /// # Errors
+    /// [`CoreError::BadInput`] when a pair indexes past either table.
+    pub fn representation_report(
+        &self,
+        pairs: &PairSet,
+        k: usize,
+    ) -> Result<TopKReport, CoreError> {
+        topk_eval_vae(&self.lat_a, &self.lat_b, pairs, k)
     }
 
     /// Recall@K over the dataset's full duplicate ground truth (Fig. 4 /
     /// Table VII protocol).
-    pub fn recall_at_k(&self, duplicates: &[(usize, usize)], k: usize) -> f32 {
-        crate::evaluation::recall_at_k_vae(&self.reprs_a, &self.reprs_b, duplicates, k)
+    ///
+    /// # Errors
+    /// [`CoreError::BadInput`] when a duplicate indexes past either table.
+    pub fn recall_at_k(&self, duplicates: &[(usize, usize)], k: usize) -> Result<f32, CoreError> {
+        recall_at_k_vae(&self.lat_a, &self.lat_b, duplicates, k)
     }
 
-    /// The plan-owned E2Lsh blocking index over table B's latent means,
+    /// The plan-owned E2Lsh blocking index over table B's μ rows,
     /// built on first use and shared by every later blocking or
     /// resolution call (the latents are frozen, so it never goes stale).
     pub fn blocking_index(&self) -> &E2Lsh {
@@ -441,10 +432,9 @@ impl Pipeline {
     /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
     /// budget trips mid-build (nothing is cached in that case).
     pub(crate) fn blocking_index_budgeted(&self, budget: &RunBudget) -> Result<&E2Lsh, CoreError> {
-        if let Some(index) = self.artifacts.index.get() {
+        if let Some(index) = self.index.get() {
             return Ok(index);
         }
-        let b_keys = mean_points(&self.reprs_b);
         let mut stop = None;
         let mut probe = || match budget.probe("exec.block") {
             Ok(()) => false,
@@ -453,10 +443,11 @@ impl Pipeline {
                 true
             }
         };
-        match E2Lsh::build_calibrated_probed(b_keys, self.config.seed ^ 0xB10C, &mut probe) {
+        let points = self.lat_b.mu_points();
+        match E2Lsh::build_calibrated_probed(points, self.config.seed ^ 0xB10C, &mut probe) {
             Some(index) => {
                 let mut built = false;
-                let index = self.artifacts.index.get_or_init(|| {
+                let index = self.index.get_or_init(|| {
                     built = true;
                     index
                 });
@@ -470,18 +461,10 @@ impl Pipeline {
         }
     }
 
-    /// Table A's flattened latent means — the blocking query keys, built
-    /// once alongside the index.
-    pub(crate) fn query_keys(&self) -> &[Vec<f32>] {
-        self.artifacts
-            .keys_a
-            .get_or_init(|| self.reprs_a.iter().map(EntityRepr::flat_mu).collect())
-    }
-
     /// LSH blocking: candidate pairs from the latent means (§VI-B) — the
     /// filter an end-to-end deployment would run before matching.
     pub fn blocking_candidates(&self, k: usize) -> Vec<CandidatePair> {
-        knn_join(self.query_keys(), self.blocking_index(), k)
+        knn_join(&self.lat_a.mu_rows(), self.blocking_index(), k)
     }
 
     /// A re-runnable resolution plan over this pipeline: the staged
@@ -540,9 +523,8 @@ impl Pipeline {
     /// stay bit-identical to [`resolve`](Self::resolve) at the same
     /// `(k, threshold)`.
     pub fn resolve_reference(&self, k: usize, threshold: f32) -> Vec<(usize, usize, f32)> {
-        let a_keys: Vec<Vec<f32>> = self.reprs_a.iter().map(EntityRepr::flat_mu).collect();
-        let index = E2Lsh::build_calibrated(mean_points(&self.reprs_b), self.config.seed ^ 0xB10C);
-        let candidates = knn_join(&a_keys, &index, k);
+        let index = E2Lsh::build_calibrated(self.lat_b.mu_points(), self.config.seed ^ 0xB10C);
+        let candidates = knn_join(&self.lat_a.mu_rows(), &index, k);
         let pairs: PairSet = candidates
             .iter()
             .map(|c| LabeledPair {
@@ -723,9 +705,9 @@ mod tests {
     fn vae_report_at_least_as_good_as_reasonable() {
         let ds = DomainSpec::new(Domain::Citations1, Scale::Tiny).generate(3);
         let p = Pipeline::fit(&ds, &fast_config(3)).unwrap();
-        let vae = p.representation_report(&ds.test_pairs, 10);
+        let vae = p.representation_report(&ds.test_pairs, 10).unwrap();
         assert!(vae.recall > 0.5, "VAE recall {}", vae.recall);
-        let ir = crate::evaluation::topk_eval_irs(&p.irs_a, &p.irs_b, &ds.test_pairs, 10);
+        let ir = crate::evaluation::topk_eval_irs(&p.irs_a, &p.irs_b, &ds.test_pairs, 10).unwrap();
         assert!(ir.recall > 0.0);
     }
 

@@ -23,7 +23,6 @@ use vaer_nn::{
     sharded_step_pooled, Adam, Dense, Graph, GraphPool, Initializer, NnRng, Optimizer, ParamStore,
     SeedableRng, Tensor,
 };
-use vaer_stats::gaussian::DiagGaussian;
 
 /// Representation-model hyper-parameters (Table III, scaled down by
 /// default — see DESIGN.md).
@@ -533,24 +532,15 @@ impl ReprModel {
         (mu, sigma)
     }
 
-    /// Encodes a batch of IRs into diagonal Gaussians (one per row).
-    ///
-    /// Rows are encoded independently, so large batches are split into
-    /// contiguous row shards on the [`vaer_linalg::runtime`] worker pool;
-    /// each row's result is bit-identical at any thread count.
-    pub fn encode(&self, irs: &Matrix) -> Vec<DiagGaussian> {
-        let (mu, sigma) = self.encode_matrices(irs);
-        (0..mu.rows())
-            .map(|i| DiagGaussian::new(mu.row(i).to_vec(), sigma.row(i).to_vec()))
-            .collect()
-    }
-
     /// Encodes a batch of IRs into `(μ, σ)` matrices of shape
-    /// `rows x latent_dim` — the matrix form backing [`Self::encode`] and
-    /// the frozen-encoder cache ([`crate::latent::LatentTable`]).
+    /// `rows x latent_dim`: row `i` is the diagonal Gaussian of IR row `i`.
+    /// The frozen-encoder cache ([`crate::latent::LatentTable`]) holds
+    /// this form.
     ///
     /// Each call is one full encoder pass and increments the
-    /// process-wide [`encode_calls`] counter; row results are
+    /// process-wide [`encode_calls`] counter. Rows are encoded
+    /// independently, so large batches are split into contiguous row
+    /// shards on the [`vaer_linalg::runtime`] worker pool; row results are
     /// bit-identical at any thread count and for any row batching.
     ///
     /// # Panics
@@ -876,15 +866,15 @@ mod tests {
     fn latent_space_preserves_cluster_structure() {
         let (irs, labels) = clustered_irs(40, 8, 2);
         let (model, _) = ReprModel::train(&irs, &ReprConfig::fast(8)).unwrap();
-        let reprs = model.encode(&irs);
+        let (mu, _) = model.encode_matrices(&irs);
         // Mean within-cluster μ distance should be far below between-cluster.
         let mut within = 0.0f32;
         let mut between = 0.0f32;
         let mut n_within = 0;
         let mut n_between = 0;
-        for i in (0..reprs.len()).step_by(7) {
-            for j in (i + 1..reprs.len()).step_by(5) {
-                let d = vaer_linalg::vector::euclidean(&reprs[i].mu, &reprs[j].mu);
+        for i in (0..mu.rows()).step_by(7) {
+            for j in (i + 1..mu.rows()).step_by(5) {
+                let d = vaer_linalg::vector::euclidean(mu.row(i), mu.row(j));
                 if labels[i] == labels[j] {
                     within += d;
                     n_within += 1;
@@ -906,13 +896,14 @@ mod tests {
     fn encode_shapes_and_sigma_positive() {
         let (irs, _) = clustered_irs(10, 8, 3);
         let (model, _) = ReprModel::train(&irs, &ReprConfig::fast(8)).unwrap();
-        let reprs = model.encode(&irs);
-        assert_eq!(reprs.len(), 20);
-        for r in &reprs {
-            assert_eq!(r.dims(), model.config().latent_dim);
-            assert!(r.sigma.iter().all(|&s| s > 0.0), "sigma must be positive");
-        }
-        assert!(model.encode(&Matrix::zeros(0, 8)).is_empty());
+        let (mu, sigma) = model.encode_matrices(&irs);
+        assert_eq!(mu.shape(), (20, model.config().latent_dim));
+        assert_eq!(sigma.shape(), mu.shape());
+        assert!(
+            sigma.as_slice().iter().all(|&s| s > 0.0),
+            "sigma must be positive"
+        );
+        assert_eq!(model.encode_matrices(&Matrix::zeros(0, 8)).0.rows(), 0);
     }
 
     #[test]
@@ -924,12 +915,7 @@ mod tests {
             ..ReprConfig::fast(8)
         };
         let (model, _) = ReprModel::train(&irs, &config).unwrap();
-        let reprs = model.encode(&irs);
-        let mu_mat = Matrix::from_vec(
-            reprs.len(),
-            model.config().latent_dim,
-            reprs.iter().flat_map(|r| r.mu.iter().copied()).collect(),
-        );
+        let (mu_mat, _) = model.encode_matrices(&irs);
         let recon = model.decode(&mu_mat);
         // Reconstruction should at least recover the cluster sign pattern.
         let mut sign_match = 0;
@@ -953,9 +939,9 @@ mod tests {
         let bytes = model.to_bytes();
         let back = ReprModel::from_bytes(&bytes).unwrap();
         assert_eq!(back.config().latent_dim, model.config().latent_dim);
-        let a = model.encode(&irs);
-        let b = back.encode(&irs);
-        assert_eq!(a[3].mu, b[3].mu);
+        let (a, _) = model.encode_matrices(&irs);
+        let (b, _) = back.encode_matrices(&irs);
+        assert_eq!(a.row(3), b.row(3));
         assert!(ReprModel::from_bytes(b"garbage").is_err());
     }
 

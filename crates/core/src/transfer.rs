@@ -2,7 +2,7 @@
 //! experiment.
 //!
 //! Because the VAE consumes numeric IRs rather than domain vocabularies,
-//! a trained [`ReprModel`](crate::repr::ReprModel) encodes IRs from *any*
+//! a trained [`ReprModel`] encodes IRs from *any*
 //! domain with the same dimensionality. Transfer is therefore: serialise
 //! the model in the source task, deserialise it in the target task, adapt
 //! the target tables to the source arity (truncate or pad, §VI-D), and
@@ -62,9 +62,9 @@ mod tests {
         let path = dir.join("repr.bin");
         save_repr(&model, &path).unwrap();
         let back = load_repr(&path).unwrap();
-        let a = model.encode(&irs);
-        let b = back.encode(&irs);
-        assert_eq!(a[0].mu, b[0].mu);
+        let (a, _) = model.encode_matrices(&irs);
+        let (b, _) = back.encode_matrices(&irs);
+        assert_eq!(a.row(0), b.row(0));
         std::fs::remove_file(&path).ok();
     }
 
@@ -93,9 +93,8 @@ mod tests {
         let (other, _) = ReprModel::train(&other_irs, &ReprConfig::fast(8)).unwrap();
         let rebuilt = lat.refresh(&other, &table);
         assert!(!rebuilt.is_stale(&other));
-        let direct = other.encode(&table.irs);
-        let ents = rebuilt.entities();
-        assert_eq!(ents[0].attrs[0].mu, direct[0].mu);
+        let (direct, _) = other.encode_matrices(&table.irs);
+        assert_eq!(&rebuilt.mu_row(0)[..direct.cols()], direct.row(0));
     }
 
     #[test]

@@ -7,9 +7,9 @@ use crate::KnnIndex;
 
 /// Exact Euclidean top-K search over an owned point set.
 ///
-/// O(n·d) per query; used as the correctness oracle for [`E2Lsh`]
-/// (crate::E2Lsh) and as the index of choice for small collections where
-/// hashing overhead isn't worth it.
+/// O(n·d) per query; used as the correctness oracle for
+/// [`E2Lsh`](crate::E2Lsh) and as the index of choice for small
+/// collections where hashing overhead isn't worth it.
 #[derive(Debug, Clone)]
 pub struct BruteForceKnn {
     points: Points,

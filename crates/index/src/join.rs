@@ -56,8 +56,8 @@ pub fn knn_join_probed<Q: AsRef<[f32]>>(
 /// Blocking is re-run whenever a resolution plan is asked for a new
 /// candidate budget; the index and query set never change between those
 /// calls, so the join output is a pure function of `k`. The cache borrows
-/// both sides and stores each distinct `k`'s candidate list the first
-/// time it is requested.
+/// the query rows and the index and stores each distinct `k`'s candidate
+/// list the first time it is requested.
 pub struct JoinCache<'a> {
     queries: Vec<&'a [f32]>,
     index: &'a dyn KnnIndex,
@@ -65,10 +65,11 @@ pub struct JoinCache<'a> {
 }
 
 impl<'a> JoinCache<'a> {
-    /// An empty cache over `queries` joined against `index`.
-    pub fn new<Q: AsRef<[f32]>>(queries: &'a [Q], index: &'a dyn KnnIndex) -> Self {
+    /// An empty cache over the borrowed `queries` rows joined against
+    /// `index`.
+    pub fn new(queries: Vec<&'a [f32]>, index: &'a dyn KnnIndex) -> Self {
         Self {
-            queries: queries.iter().map(AsRef::as_ref).collect(),
+            queries,
             index,
             per_k: BTreeMap::new(),
         }
@@ -82,7 +83,7 @@ impl<'a> JoinCache<'a> {
     }
 
     /// [`candidates`](Self::candidates) with a cooperative stop probe
-    /// (see [`knn_join_probed`]). A memoised `k` is returned without
+    /// (see [`KnnIndex::join`]). A memoised `k` is returned without
     /// probing; on an abandoned join nothing is memoised and `None` is
     /// returned.
     pub fn candidates_probed(
@@ -135,7 +136,7 @@ mod tests {
         let points = vec![vec![0.0], vec![10.0], vec![20.0]];
         let idx = BruteForceKnn::build(points);
         let queries = vec![vec![1.0], vec![19.0]];
-        let mut cache = JoinCache::new(&queries, &idx);
+        let mut cache = JoinCache::new(queries.iter().map(Vec::as_slice).collect(), &idx);
         assert!(!cache.contains(2));
         let direct = knn_join(&queries, &idx, 2);
         assert_eq!(cache.candidates(2), &direct[..]);
@@ -166,7 +167,7 @@ mod tests {
         assert_eq!(knn_join_probed(&queries, &idx, 1, &mut probe), None);
         assert_eq!(calls, 3, "probe must run once per query until tripped");
         // Through the cache: nothing is memoised on abandonment…
-        let mut cache = JoinCache::new(&queries, &idx);
+        let mut cache = JoinCache::new(queries.iter().map(Vec::as_slice).collect(), &idx);
         let mut stop = || true;
         assert!(cache.candidates_probed(1, &mut stop).is_none());
         assert!(!cache.contains(1));

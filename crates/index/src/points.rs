@@ -94,6 +94,21 @@ impl From<Vec<Vec<f32>>> for Points {
     }
 }
 
+impl From<&[&[f32]]> for Points {
+    /// Copies borrowed rows; the dimensionality is the first row's.
+    ///
+    /// # Panics
+    /// Panics when the rows differ in length.
+    fn from(rows: &[&[f32]]) -> Self {
+        let dims = rows.first().map_or(0, |r| r.len());
+        let mut points = Self::with_capacity(dims, rows.len());
+        for row in rows {
+            points.push(row.iter().copied());
+        }
+        points
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,7 @@ pub struct QuantizedMatrix {
 }
 
 /// Symmetric scale covering `max_abs`: the largest magnitude maps to
-/// [`Q_MAX`]. Degenerate inputs (all-zero, empty, or non-finite ranges)
+/// `Q_MAX`. Degenerate inputs (all-zero, empty, or non-finite ranges)
 /// fall back to scale `1.0` so dequantization stays well-defined.
 pub fn scale_for_max_abs(max_abs: f32) -> f32 {
     if max_abs.is_finite() && max_abs > 0.0 {
@@ -184,7 +184,7 @@ impl QuantizedMatrix {
     /// than the tensor being quantized. Non-finite or non-positive
     /// scales fall back to `1.0`. This is the per-batch cost of the
     /// int8 fast lane, so it is AVX-512-vectorized where available
-    /// (element-identical to [`quantize_value`] by construction).
+    /// (element-identical to `quantize_value` by construction).
     pub fn quantize_uniform(m: &Matrix, scale: f32) -> QuantizedMatrix {
         let (rows, cols) = m.shape();
         let s = if scale.is_finite() && scale > 0.0 {
@@ -250,7 +250,7 @@ const NR_I8: usize = 16;
 const QUAD: usize = 4;
 
 /// A weight matrix packed once for repeated int8 products:
-/// [`NR_I8`]-wide column panels with the shared dimension interleaved
+/// `NR_I8`-wide column panels with the shared dimension interleaved
 /// in **quads**, so one 64-byte block is exactly the `vpdpbusd` operand
 /// for sixteen columns — `packed[t*stride + (p/4)*4*NR_I8 + 4*l + (p%4)]
 /// = w[t*NR_I8 + l][p]` with `stride = ceil(k/4)*4*NR_I8`. Ragged `k`

@@ -8,7 +8,7 @@
 //! 1. It never takes a lock, touches the metric registry, or allocates —
 //!    only relaxed atomic RMWs on private statics. Anything else could
 //!    re-enter the allocator (deadlock or unbounded recursion).
-//! 2. It never *resolves* the telemetry level: [`crate::init_level`]
+//! 2. It never *resolves* the telemetry level: `init_level`
 //!    reads `VAER_OBS` through `std::env::var`, which allocates, so the
 //!    hook reads the raw level atomic and treats "unset" as off.
 //!    Counting therefore starts at the first non-allocator probe (or

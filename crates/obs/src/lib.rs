@@ -3,7 +3,7 @@
 //! Three layers, all behind one env knob (`VAER_OBS=off|summary|trace`,
 //! default `off`):
 //!
-//! 1. **Spans** — RAII guards ([`span`] / [`span!`]) recording wall-time,
+//! 1. **Spans** — RAII guards ([`span()`] / [`span!`]) recording wall-time,
 //!    thread slot, and parent span. Durations always feed a per-name
 //!    [`Histogram`]; at `trace` level each span is additionally pushed to
 //!    the global collector as an individual [`SpanRecord`].
@@ -133,7 +133,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard(Some(collect::start_span(name)))
 }
 
-/// RAII span guard: drop it to close the span. See [`span`].
+/// RAII span guard: drop it to close the span. See [`span()`].
 #[must_use = "a span measures the scope it is alive for; bind it to a local"]
 pub struct SpanGuard(Option<collect::ActiveSpan>);
 
@@ -145,7 +145,7 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Expression form of [`span`]: `let _s = vaer_obs::span!("pipeline.fit");`
+/// Expression form of [`span()`]: `let _s = vaer_obs::span!("pipeline.fit");`
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

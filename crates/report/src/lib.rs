@@ -221,7 +221,7 @@ fn run_config(record: &JsonValue) -> (Option<&JsonValue>, Option<&JsonValue>) {
 
 /// Judges every gated metric present in `records`. The newest record of
 /// each bench supplies the current value; up to `history` prior records
-/// of the same bench **and run configuration** ([`run_config`]) supply
+/// of the same bench **and run configuration** (`run_config`) supply
 /// the band, so a full-size or multi-threaded run is never judged
 /// against a quick single-threaded history, or the reverse.
 pub fn analyze(records: &[JsonValue], history: usize) -> Vec<MetricReport> {

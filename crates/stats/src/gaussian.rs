@@ -70,18 +70,16 @@ pub fn standard_normal<R: Rng>(rng: &mut R) -> f32 {
 /// Panics if dimensions differ.
 pub fn w2_squared(p: &DiagGaussian, q: &DiagGaussian) -> f32 {
     assert_eq!(p.dims(), q.dims(), "w2 dimension mismatch");
-    let mu_term: f32 =
-        p.mu.iter()
-            .zip(q.mu.iter())
-            .map(|(&a, &b)| (a - b) * (a - b))
-            .sum();
-    let sigma_term: f32 = p
-        .sigma
-        .iter()
-        .zip(q.sigma.iter())
-        .map(|(&a, &b)| (a - b) * (a - b))
-        .sum();
-    mu_term + sigma_term
+    w2_squared_slices((&p.mu, &p.sigma), (&q.mu, &q.sigma))
+}
+
+/// [`w2_squared`] over borrowed `(μ, σ)` rows: the μ term summed first,
+/// then the σ term, each left to right. Latent caches call it on their
+/// rows directly. Extra values of the longer row are ignored.
+pub fn w2_squared_slices(p: (&[f32], &[f32]), q: (&[f32], &[f32])) -> f32 {
+    let sq =
+        |a: &[f32], b: &[f32]| -> f32 { a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum() };
+    sq(p.0, q.0) + sq(p.1, q.1)
 }
 
 /// Per-dimension squared 2-Wasserstein contributions — the paper's

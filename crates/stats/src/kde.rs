@@ -35,7 +35,7 @@ impl Kde {
             / n)
             .sqrt();
         let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(|a, b| crate::nan_last(*a, *b));
         let iqr = percentile(&sorted, 0.75) - percentile(&sorted, 0.25);
         let spread = if iqr > 0.0 { std.min(iqr / 1.34) } else { std };
         let bandwidth = (0.9 * spread * n.powf(-0.2)).max(1e-3);
@@ -203,6 +203,24 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fitting_samples_with_nan_never_panics() {
+        // A sort by `partial_cmp(..).unwrap_or(Equal)` is no total order
+        // once a key is NaN, and the standard sorts may panic on one.
+        use rand::{RngExt, SeedableRng};
+        for seed in 0..500u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.random_range(21..200);
+            let samples: Vec<f32> = (0..n)
+                .map(|_| match rng.random_range(0..8) {
+                    0 => f32::NAN,
+                    _ => rng.random_range(0.0f32..3.0),
+                })
+                .collect();
+            assert!(Kde::fit(&samples).is_some(), "seed {seed}");
         }
     }
 

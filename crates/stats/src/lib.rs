@@ -18,3 +18,13 @@ pub mod gaussian;
 pub mod kde;
 pub mod metrics;
 pub mod resample;
+
+/// Compares two sort keys as `partial_cmp` does, with every NaN after
+/// every number and equal to any other NaN: a total order, so a sort by
+/// it never panics and orders the numbers as `partial_cmp` would. Unlike
+/// `f32::total_cmp` it keeps `-0.0 == +0.0` and puts a NaN last whatever
+/// its sign bit.
+pub fn nan_last(a: f32, b: f32) -> std::cmp::Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}

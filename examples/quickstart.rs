@@ -67,7 +67,9 @@ fn main() {
     );
 
     // 6. The unsupervised representations alone already block well.
-    let repr_report = pipeline.representation_report(&dataset.test_pairs, 10);
+    let repr_report = pipeline
+        .representation_report(&dataset.test_pairs, 10)
+        .expect("test pairs index both tables");
     println!(
         "unsupervised top-10 retrieval: recall {:.2}, precision {:.2}",
         repr_report.recall, repr_report.precision

@@ -1,13 +1,16 @@
 //! Integration tests of the active-learning loop against the labelling
-//! oracle: budget accounting, class coverage, and curve behaviour.
+//! oracle: budget accounting, class coverage, curve behaviour, and
+//! degenerate inputs that must end in a result or a typed error.
 
 use vaer::core::active::{evaluate_matcher, ActiveConfig, ActiveLearner};
 use vaer::core::entity::IrTable;
-use vaer::core::matcher::{MatcherConfig, PairExamples};
+use vaer::core::matcher::{MatcherConfig, PairExamples, SiameseMatcher};
 use vaer::core::repr::{ReprConfig, ReprModel};
+use vaer::core::CoreError;
 use vaer::data::domains::{Domain, DomainSpec, Scale};
-use vaer::data::Dataset;
+use vaer::data::{Dataset, Oracle};
 use vaer::embed::{fit_ir_model, IrKind};
+use vaer::linalg::{Matrix, XorShiftRng};
 
 struct Fixture {
     dataset: Dataset,
@@ -118,4 +121,133 @@ fn bootstrap_corrections_counted_without_billing() {
     // class backfill ran.
     let billed = oracle.queries_used() - before;
     assert!(billed <= 2, "bootstrap verification billed {billed} labels");
+}
+
+/// Degenerate inputs: 2 attributes of 16-dim seeded IRs, a VAE trained on
+/// other rows, the `fast` matcher. B's first tuples are noisy copies of
+/// A's and the oracle knows them, unless `duplicates` is false.
+struct Degenerate {
+    repr: ReprModel,
+    rng: XorShiftRng,
+}
+
+impl Degenerate {
+    const ARITY: usize = 2;
+    const IR_DIM: usize = 16;
+
+    fn new(seed: u64) -> Self {
+        let mut rng = XorShiftRng::new(seed);
+        let irs = Matrix::gaussian(40 * Self::ARITY, Self::IR_DIM, &mut rng);
+        let (repr, _) = ReprModel::train(&irs, &ReprConfig::fast(Self::IR_DIM)).unwrap();
+        Self { repr, rng }
+    }
+
+    /// Tables of `n_a x n_b` tuples. With `fill = (value, whole)`, every
+    /// third row of B from row 1 on gets `value` in every column
+    /// (`whole`) or in one column.
+    fn tables(&mut self, n_a: usize, n_b: usize, fill: Option<(f32, bool)>) -> (IrTable, IrTable) {
+        let rng = &mut self.rng;
+        let a = Matrix::gaussian(n_a * Self::ARITY, Self::IR_DIM, rng);
+        let mut b = Matrix::gaussian(n_b * Self::ARITY, Self::IR_DIM, rng);
+        for row in 0..n_a.min(n_b) * Self::ARITY {
+            for j in 0..Self::IR_DIM {
+                b.set(row, j, a.get(row, j) + 0.05 * rng.gaussian());
+            }
+        }
+        if let Some((value, whole)) = fill {
+            for row in (1..b.rows()).step_by(3) {
+                if whole {
+                    b.row_mut(row).fill(value);
+                } else {
+                    b.set(row, row % Self::IR_DIM, value);
+                }
+            }
+        }
+        (IrTable::new(Self::ARITY, a), IrTable::new(Self::ARITY, b))
+    }
+
+    fn run(
+        &self,
+        (a, b): &(IrTable, IrTable),
+        duplicates: bool,
+        budget: usize,
+        seed: u64,
+    ) -> (Result<SiameseMatcher, CoreError>, usize) {
+        let dups = if duplicates { a.len().min(b.len()) } else { 0 };
+        let oracle = Oracle::new((0..dups).map(|i| (i, i)));
+        let config = ActiveConfig {
+            iterations: 4,
+            matcher: MatcherConfig {
+                seed,
+                ..MatcherConfig::fast()
+            },
+            seed,
+            ..ActiveConfig::default()
+        };
+        let mut learner = ActiveLearner::new(&self.repr, a, b, config);
+        let result = learner.run(&oracle, budget, None);
+        (result, learner.pool_size())
+    }
+}
+
+#[test]
+fn empty_tiny_and_duplicate_free_inputs_end_in_insufficient_data() {
+    for seed in 0..10 {
+        let mut d = Degenerate::new(seed);
+        for (n_a, n_b, duplicates) in [(0, 0, true), (0, 5, true), (1, 1, true), (20, 20, false)] {
+            let tables = d.tables(n_a, n_b, None);
+            let (result, _) = d.run(&tables, duplicates, 20, seed);
+            assert!(
+                matches!(result, Err(CoreError::InsufficientData(_))),
+                "seed {seed}, {n_a}x{n_b}, duplicates {duplicates}: {:?}",
+                result.err()
+            );
+        }
+    }
+}
+
+#[test]
+fn few_rows_and_a_pool_emptied_before_the_budget_end_in_ok() {
+    for seed in 0..10 {
+        let mut d = Degenerate::new(seed);
+        for (n_a, n_b) in [(1, 5), (3, 3), (4, 6)] {
+            let tables = d.tables(n_a, n_b, None);
+            // A budget no pool this small can fill: the loop stops when
+            // the pool empties.
+            let (result, pool) = d.run(&tables, true, 1_000, seed);
+            assert!(
+                result.is_ok(),
+                "seed {seed}, {n_a}x{n_b}: {:?}",
+                result.err()
+            );
+            assert_eq!(pool, 0, "seed {seed}, {n_a}x{n_b}: pool left");
+        }
+    }
+}
+
+#[test]
+fn non_finite_ir_rows_end_in_a_result_or_a_typed_error() {
+    // A whole row of one non-finite value mostly cancels to NaN in the
+    // encoder's first layer, which its ReLU maps to 0; one non-finite
+    // column survives it as +∞ for −∞ and +∞ (never for NaN) and reaches
+    // the latent cache as NaN μ.
+    for seed in 0..10 {
+        let mut d = Degenerate::new(seed);
+        for value in [f32::NAN, f32::NEG_INFINITY, f32::INFINITY] {
+            for whole in [true, false] {
+                let tables = d.tables(20, 20, Some((value, whole)));
+                // Any outcome is returned, never a panic; +∞ rows are not
+                // pinned beyond that.
+                let (result, _) = d.run(&tables, true, 20, seed);
+                if value == f32::INFINITY {
+                    continue;
+                }
+                assert!(
+                    result.is_ok(),
+                    "seed {seed}, {value} (whole rows: {whole}): {:?}",
+                    result.err()
+                );
+            }
+        }
+    }
 }

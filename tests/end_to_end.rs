@@ -1,6 +1,7 @@
 //! Integration tests spanning the whole workspace: data generation →
 //! IRs → VAE → matcher → evaluation, plus blocking and transfer.
 
+use vaer::core::evaluation::topk_eval_irs;
 use vaer::core::pipeline::{Pipeline, PipelineConfig};
 use vaer::core::transfer::adapt_dataset_arity;
 use vaer::core::CoreError;
@@ -33,7 +34,7 @@ fn pipeline_learns_three_contrasting_domains() {
 fn representations_beat_chance_on_retrieval() {
     let ds = DomainSpec::new(Domain::Citations1, Scale::Tiny).generate(5);
     let pipeline = Pipeline::fit(&ds, &fast(5)).unwrap();
-    let report = pipeline.representation_report(&ds.test_pairs, 10);
+    let report = pipeline.representation_report(&ds.test_pairs, 10).unwrap();
     assert!(
         report.recall > 0.5,
         "representation recall {}",
@@ -129,4 +130,32 @@ fn out_of_range_pairs_are_bad_input_not_panics() {
         matches!(pipeline.predict(&far), Err(CoreError::BadInput(_))),
         "predict"
     );
+}
+
+#[test]
+fn top_k_reports_return_bad_input_on_out_of_range_pairs() {
+    let ds = DomainSpec::new(Domain::Beer, Scale::Tiny).generate(6);
+    let pipeline = Pipeline::fit(&ds, &fast(6)).unwrap();
+    let (len_a, len_b) = (ds.table_a.len(), ds.table_b.len());
+    let (irs_a, irs_b) = pipeline.ir_tables();
+    for (left, right) in [(len_a, 0), (0, len_b), (usize::MAX, usize::MAX)] {
+        let far = PairSet {
+            pairs: vec![LabeledPair {
+                left,
+                right,
+                is_match: true,
+            }],
+        };
+        let bad = |e: &CoreError| matches!(e, CoreError::BadInput(_));
+        let report = pipeline.representation_report(&far, 10);
+        assert!(
+            report.is_err_and(|e| bad(&e)),
+            "representation_report {left} {right}"
+        );
+        let recall = pipeline.recall_at_k(&[(left, right)], 10);
+        assert!(recall.is_err_and(|e| bad(&e)), "recall_at_k {left} {right}");
+        let ir = topk_eval_irs(irs_a, irs_b, &far, 10);
+        assert!(ir.is_err_and(|e| bad(&e)), "topk_eval_irs {left} {right}");
+    }
+    assert!(pipeline.recall_at_k(&ds.duplicates, 10).is_ok());
 }

@@ -23,13 +23,10 @@ fn repr_model_survives_disk_round_trip() {
     let restored = ReprModel::from_bytes(&bytes).unwrap();
     // Encodings must be bit-identical.
     let (irs_a, _) = pipeline.ir_tables();
-    let orig = pipeline.repr().encode(&irs_a.irs);
-    let back = restored.encode(&irs_a.irs);
-    assert_eq!(orig.len(), back.len());
-    for (a, b) in orig.iter().zip(back.iter()) {
-        assert_eq!(a.mu, b.mu);
-        assert_eq!(a.sigma, b.sigma);
-    }
+    let (orig_mu, orig_sigma) = pipeline.repr().encode_matrices(&irs_a.irs);
+    let (back_mu, back_sigma) = restored.encode_matrices(&irs_a.irs);
+    assert_eq!(orig_mu.as_slice(), back_mu.as_slice());
+    assert_eq!(orig_sigma.as_slice(), back_sigma.as_slice());
 }
 
 #[test]
