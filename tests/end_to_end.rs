@@ -119,43 +119,27 @@ fn out_of_range_pairs_are_bad_input_not_panics() {
         matches!(transferred, Err(CoreError::BadInput(_))),
         "fit_transferred"
     );
-    let far = PairSet {
-        pairs: vec![LabeledPair {
-            left: 0,
-            right: ds.table_b.len(),
-            is_match: false,
-        }],
-    };
-    assert!(
-        matches!(pipeline.predict(&far), Err(CoreError::BadInput(_))),
-        "predict"
-    );
-}
-
-#[test]
-fn top_k_reports_return_bad_input_on_out_of_range_pairs() {
-    let ds = DomainSpec::new(Domain::Beer, Scale::Tiny).generate(6);
-    let pipeline = Pipeline::fit(&ds, &fast(6)).unwrap();
+    // `predict` and the top-K reports check every pair against the
+    // table sizes.
     let (len_a, len_b) = (ds.table_a.len(), ds.table_b.len());
     let (irs_a, irs_b) = pipeline.ir_tables();
+    let bad_input = |e: CoreError| matches!(e, CoreError::BadInput(_));
     for (left, right) in [(len_a, 0), (0, len_b), (usize::MAX, usize::MAX)] {
         let far = PairSet {
             pairs: vec![LabeledPair {
                 left,
                 right,
-                is_match: true,
+                is_match: false,
             }],
         };
-        let bad = |e: &CoreError| matches!(e, CoreError::BadInput(_));
+        let at = format!("({left}, {right})");
+        assert!(pipeline.predict(&far).is_err_and(bad_input), "predict {at}");
         let report = pipeline.representation_report(&far, 10);
-        assert!(
-            report.is_err_and(|e| bad(&e)),
-            "representation_report {left} {right}"
-        );
+        assert!(report.is_err_and(bad_input), "representation_report {at}");
         let recall = pipeline.recall_at_k(&[(left, right)], 10);
-        assert!(recall.is_err_and(|e| bad(&e)), "recall_at_k {left} {right}");
+        assert!(recall.is_err_and(bad_input), "recall_at_k {at}");
         let ir = topk_eval_irs(irs_a, irs_b, &far, 10);
-        assert!(ir.is_err_and(|e| bad(&e)), "topk_eval_irs {left} {right}");
+        assert!(ir.is_err_and(bad_input), "topk_eval_irs {at}");
     }
     assert!(pipeline.recall_at_k(&ds.duplicates, 10).is_ok());
 }
